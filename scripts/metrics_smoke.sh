@@ -41,6 +41,7 @@ required = [
     "objectstore.versions_installed", "objectstore.versions_pruned",
     "objectstore.versions_chains", "objectstore.versions_entries",
     "index.maintenance_ops", "index.key_recomputations",
+    "index.deferred_entries", "index.deferred_retired",
     "objectstore.cache_hits", "objectstore.cache_misses",
     "objectstore.cache_evictions", "objectstore.cache_invalidations",
     "objectstore.get_ns", "objectstore.class_write_waits",
@@ -63,10 +64,11 @@ for name in required:
 
 # Counters (and histogram counts) are monotonic between the snapshots;
 # recovery.* are gauges of the last recovery run, and the occupancy
-# levels (object-cache resident_*, live snapshots, version-chain sizes)
-# legitimately shrink -- all exempt.
+# levels (object-cache resident_*, live snapshots, version-chain sizes,
+# deferred index entries) legitimately shrink -- all exempt.
 levels = {"txn.snapshot_live", "objectstore.versions_chains",
-          "objectstore.versions_entries", "net.connections"}
+          "objectstore.versions_entries", "index.deferred_entries",
+          "net.connections"}
 for name, v1 in m1.items():
     if (name.startswith("recovery.") or ".cache_resident_" in name
             or name in levels):

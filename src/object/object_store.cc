@@ -638,6 +638,9 @@ Result<std::vector<PageId>> ObjectStore::ExtentPages(ClassId cls) const {
     }
     return heap_r.status();
   }
+  // The chain walk reads page headers that an insert into this class
+  // rewrites under the class-exclusive latch.
+  ReadGuard lock(LatchFor(cls));
   return (*heap_r)->Pages();
 }
 

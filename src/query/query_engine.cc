@@ -207,7 +207,8 @@ constexpr double kDefaultRowsPerPage = 16.0;
 
 }  // namespace
 
-Result<QueryPlan> QueryEngine::Plan(const Query& q) const {
+Result<QueryPlan> QueryEngine::Plan(const Query& q,
+                                    std::optional<uint64_t> read_ts) const {
   const Catalog& cat = *store_->catalog();
   KIMDB_ASSIGN_OR_RETURN(const ClassDef* target_def, cat.GetClass(q.target));
   QueryPlan plan;
@@ -241,7 +242,8 @@ Result<QueryPlan> QueryEngine::Plan(const Query& q) const {
     const IndexInfo* idx =
         indexes_ == nullptr
             ? nullptr
-            : indexes_->FindIndexFor(q.target, s->path, q.hierarchy_scope);
+            : indexes_->FindIndexFor(q.target, s->path, q.hierarchy_scope,
+                                     read_ts);
     if (idx == nullptr) continue;
     candidates.push_back(Candidate{*s, idx});
   }
@@ -524,32 +526,8 @@ exec::MatchFn QueryEngine::MatchFnFor(ExprPtr pred) const {
 }
 
 Result<std::unique_ptr<exec::Operator>> QueryEngine::Lower(
-    const Query& q, const QueryPlan& plan, size_t parallelism,
-    const exec::ExecContext* ctx) const {
-  bool use_index = plan.index_scan;
-  if (use_index && ctx != nullptr && ctx->snapshot_active() &&
-      store_->mvcc() != nullptr) {
-    // Indexes reflect write-time state: an entry committed after the
-    // snapshot (or removed since) would make an index plan see the wrong
-    // world. While any scope class may carry version chains, run the
-    // version-resolving scan instead; once the chains are pruned index
-    // plans come back for free.
-    const Catalog& cat = *store_->catalog();
-    std::vector<ClassId> scope = q.hierarchy_scope
-                                     ? cat.Subtree(q.target)
-                                     : std::vector<ClassId>{q.target};
-    for (ClassId c : scope) {
-      if (store_->mvcc()->MayHaveVersions(c)) {
-        use_index = false;
-        break;
-      }
-    }
-  }
-  // Planner estimates surface in EXPLAIN only when the cost model priced
-  // this exact shape: a snapshot-forced scan fallback executes a different
-  // tree than the one costed, so it carries no annotations.
-  const bool annotate = plan.cost_based && use_index == plan.index_scan;
-  if (use_index) {
+    const Query& q, const QueryPlan& plan, size_t parallelism) const {
+  if (plan.index_scan) {
     exec::IndexScan::Spec spec;
     spec.index_id = plan.index_id;
     spec.path = plan.index_path;
@@ -560,17 +538,23 @@ Result<std::unique_ptr<exec::Operator>> QueryEngine::Lower(
     spec.hi_inclusive = plan.hi_inclusive;
     spec.scope_class = q.target;
     spec.hierarchy_scope = q.hierarchy_scope;
-    std::unique_ptr<exec::Operator> scan =
-        std::make_unique<exec::IndexScan>(indexes_, std::move(spec));
+    // The equality the probe consumed, for the snapshot re-check; range
+    // bounds stay in the residual, which re-checks them anyway.
+    if (plan.eq_key.has_value()) {
+      spec.recheck = MatchFnFor(Expr::Eq(Expr::Path(plan.index_path),
+                                         Expr::Const(*plan.eq_key)));
+    }
+    std::unique_ptr<exec::Operator> scan = std::make_unique<exec::IndexScan>(
+        indexes_, store_, std::move(spec));
     if (!plan.residual) {  // covered query: no fetch, no filter
-      if (annotate) scan->SetEstimates(plan.est_rows, plan.est_cost);
+      if (plan.cost_based) scan->SetEstimates(plan.est_rows, plan.est_cost);
       return scan;
     }
-    if (annotate) scan->SetEstimates(plan.est_input_rows);
+    if (plan.cost_based) scan->SetEstimates(plan.est_input_rows);
     std::unique_ptr<exec::Operator> filter = std::make_unique<exec::Filter>(
         std::move(scan), store_, MatchFnFor(plan.residual),
         plan.residual->ToString());
-    if (annotate) filter->SetEstimates(plan.est_rows, plan.est_cost);
+    if (plan.cost_based) filter->SetEstimates(plan.est_rows, plan.est_cost);
     return filter;
   }
 
@@ -592,7 +576,7 @@ Result<std::unique_ptr<exec::Operator>> QueryEngine::Lower(
         std::make_unique<exec::ParallelExtentScan>(
             store_, std::move(classes), parallelism, MatchFnFor(q.predicate),
             q.predicate ? q.predicate->ToString() : "");
-    if (annotate) pscan->SetEstimates(plan.est_rows, plan.est_cost);
+    if (plan.cost_based) pscan->SetEstimates(plan.est_rows, plan.est_cost);
     return pscan;
   }
   std::unique_ptr<exec::Operator> scan;
@@ -610,18 +594,23 @@ Result<std::unique_ptr<exec::Operator>> QueryEngine::Lower(
                                               name_of(q.target));
   }
   if (!q.predicate) {
-    if (annotate) scan->SetEstimates(plan.est_rows, plan.est_cost);
+    if (plan.cost_based) scan->SetEstimates(plan.est_rows, plan.est_cost);
     return scan;
   }
-  if (annotate) scan->SetEstimates(plan.est_input_rows);
+  if (plan.cost_based) scan->SetEstimates(plan.est_input_rows);
   std::unique_ptr<exec::Operator> filter = std::make_unique<exec::Filter>(
       std::move(scan), store_, MatchFnFor(q.predicate),
       q.predicate->ToString());
-  if (annotate) filter->SetEstimates(plan.est_rows, plan.est_cost);
+  if (plan.cost_based) filter->SetEstimates(plan.est_rows, plan.est_cost);
   return filter;
 }
 
 namespace {
+
+std::optional<uint64_t> ReadTsOf(const exec::ExecContext& ctx) {
+  if (!ctx.snapshot_active()) return std::nullopt;
+  return ctx.snapshot_ts();
+}
 
 /// Publishes what the planner decided onto the context's optimizer
 /// counters (flushed into the obs registry by Database::FlushQueryMetrics).
@@ -661,10 +650,10 @@ Result<std::vector<Oid>> QueryEngine::Execute(const Query& q,
     ctx->set_snapshot(snap.read_ts());
     armed_here = true;
   }
-  KIMDB_ASSIGN_OR_RETURN(QueryPlan plan, Plan(q));
+  KIMDB_ASSIGN_OR_RETURN(QueryPlan plan, Plan(q, ReadTsOf(*ctx)));
   RecordPlanOutcome(plan, ctx);
   Result<std::unique_ptr<exec::Operator>> root =
-      Lower(q, plan, ctx->scan_parallelism(), ctx);
+      Lower(q, plan, ctx->scan_parallelism());
   Result<std::vector<Oid>> result =
       root.ok() ? exec::CollectOids(**root, ctx) : root.status();
   if (result.ok()) {
@@ -694,10 +683,10 @@ Result<std::string> QueryEngine::ExplainAnalyze(const Query& q,
     ctx->set_snapshot(snap.read_ts());
     armed_here = true;
   }
-  KIMDB_ASSIGN_OR_RETURN(QueryPlan plan, Plan(q));
+  KIMDB_ASSIGN_OR_RETURN(QueryPlan plan, Plan(q, ReadTsOf(*ctx)));
   RecordPlanOutcome(plan, ctx);
   Result<std::unique_ptr<exec::Operator>> root =
-      Lower(q, plan, ctx->scan_parallelism(), ctx);
+      Lower(q, plan, ctx->scan_parallelism());
   Result<std::vector<Oid>> rows =
       root.ok() ? exec::CollectOids(**root, ctx) : root.status();
   if (rows.ok()) {
