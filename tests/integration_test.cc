@@ -157,7 +157,11 @@ TEST_F(IntegrationTest, CheckoutMarkSurvivesCrash) {
   auto t2 = db_->Begin();
   ASSERT_TRUE(db_->checkout().Checkout(*t2, priv->get(), *doc).ok());
   ASSERT_TRUE(db_->Commit(*t2).ok());
-  Reopen();  // crash; private (volatile) db is gone, the mark is not
+  // Crash: the private (volatile) db dies with the process -- before the
+  // shared database, whose MVCC table its pinned snapshot points into --
+  // and the mark survives.
+  priv->reset();
+  Reopen();
 
   // The persistent write fence still holds after restart -- exactly the
   // long-transaction semantics §3.3 asks for.
