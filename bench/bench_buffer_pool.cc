@@ -1,7 +1,8 @@
 // Buffer-pool fetch throughput under concurrency.
 //
-// The sharded pool exists so that concurrent fetchers (parallel extent
-// scans, concurrent committers) stop serializing on one global mutex.
+// The sharded pool exists so that concurrent fetchers (scans and
+// committers on the server's worker pool) stop serializing on one global
+// mutex.
 // This benchmark measures the raw FetchPage/Unpin path at 1/2/4/8 threads
 // in two regimes -- hit-heavy (working set fits the pool: the pure
 // lock-acquire + O(1) unpin cost) and miss-heavy (working set 8x the

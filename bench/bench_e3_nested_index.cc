@@ -17,7 +17,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "exec/exec_context.h"
 #include "index/index_manager.h"
 #include "query/query_engine.h"
 #include "rel/query_ops.h"
@@ -159,33 +158,6 @@ void BM_RelationalIndexJoin(benchmark::State& state) {
   state.counters["results"] = static_cast<double>(results);
 }
 
-// Residual-fetch pipeline, batch-at-a-time vs row-at-a-time: the nested
-// index yields Detroit candidates, then a Filter point-fetches each one
-// to re-check the weight conjunct. Batching drains the index in slabs
-// and prefetches candidate pages ahead of materialization. range(0) =
-// fleet size, range(1) = batch size (1 == row-at-a-time baseline).
-void BM_NestedIndexResidual_BatchSize(benchmark::State& state) {
-  E3Fixture f(static_cast<size_t>(state.range(0)));
-  BENCH_OK(f.im->CreateIndex(IndexKind::kNested, f.schema.vehicle,
-                             {"Manufacturer", "Location"})
-               .status());
-  Query q = f.DetroitQuery();
-  q.predicate = Expr::And(
-      q.predicate,
-      Expr::Gt(Expr::Path({"Weight"}), Expr::Const(Value::Int(5000))));
-  size_t batch = static_cast<size_t>(state.range(1));
-  size_t results = 0;
-  for (auto _ : state) {
-    exec::ExecContext ctx(f.env->bp.get());
-    ctx.set_batch_size(batch);
-    BENCH_ASSIGN(hits, f.engine->Execute(q, &ctx));
-    results = hits.size();
-    benchmark::DoNotOptimize(hits);
-  }
-  state.counters["results"] = static_cast<double>(results);
-  state.counters["batch"] = static_cast<double>(batch);
-}
-
 BENCHMARK(BM_NestedIndex)->Arg(2000)->Arg(20000)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ForwardTraversalScan)->Arg(2000)->Arg(20000)
@@ -193,10 +165,6 @@ BENCHMARK(BM_ForwardTraversalScan)->Arg(2000)->Arg(20000)
 BENCHMARK(BM_RelationalHashJoin)->Arg(2000)->Arg(20000)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_RelationalIndexJoin)->Arg(2000)->Arg(20000)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_NestedIndexResidual_BatchSize)
-    ->Args({20000, 1})
-    ->Args({20000, 256})
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -199,8 +199,8 @@ std::vector<ClassId> Catalog::Subtree(ClassId cls) const {
 }
 
 const Catalog::Resolved& Catalog::ResolvedFor(ClassId cls) const {
-  // Concurrent readers (parallel scan workers, shared-lock point reads)
-  // race to fill the view; the leaf mutex makes the find-or-build atomic.
+  // Concurrent readers (queries on the server's worker pool, shared-lock
+  // point reads) race to fill the view; the leaf mutex makes the find-or-build atomic.
   // Map references are node-stable, so the returned reference outlives the
   // lock (entries die only on schema mutation, which requires quiescence).
   std::lock_guard<std::mutex> lock(resolved_mu_);

@@ -18,9 +18,14 @@
 namespace kimdb {
 namespace exec {
 
-/// Per-query execution state shared by every operator in a plan tree -- and
-/// by every worker thread of a parallel operator, which is why all counters
-/// are atomics. One ExecContext unifies what used to be three disjoint
+/// Rows exchanged per Operator::NextBatch call: small enough that a batch
+/// of decoded objects stays cache-resident, large enough to amortize
+/// virtual dispatch, span accounting and budget polling.
+inline constexpr size_t kBatchSize = 256;
+
+/// Per-query execution state shared by every operator in a plan tree. The
+/// counters are atomics because observers (the metrics flush, a canceller
+/// on another thread) read them while the query runs. One ExecContext unifies what used to be three disjoint
 /// stats surfaces (QueryStats, BufferPoolStats deltas, ad-hoc bench
 /// counters), so the OODB engine, the relational comparator and the
 /// benchmarks all report physical and logical work the same way.
@@ -55,7 +60,7 @@ class ExecContext {
   std::atomic<bool> used_index{false};
 
   // --- optimizer outcome (set once by QueryEngine::Execute, read by the
-  // metrics flush; never touched by workers) --------------------------------
+  // metrics flush) -----------------------------------------------------------
 
   std::atomic<uint64_t> plans_considered{0};  // candidates Plan() enumerated
   std::atomic<uint64_t> index_plans_chosen{0};
@@ -63,26 +68,6 @@ class ExecContext {
   std::atomic<uint64_t> plan_est_rows{0};     // winning plan's estimate
   std::atomic<bool> plan_has_estimate{false};
   std::atomic<uint64_t> result_rows{0};       // actual result cardinality
-
-  /// Adds this context's logical counters into `dst`. Parallel workers
-  /// accumulate on a private shadow context and flush once on exit --
-  /// per-object fetch_adds on the shared context from several threads
-  /// ping-pong the counter cache lines hard enough to erase the scan
-  /// speedup.
-  void FlushCountersInto(ExecContext* dst) const {
-    constexpr auto kRelaxed = std::memory_order_relaxed;
-    dst->objects_scanned.fetch_add(objects_scanned.load(kRelaxed), kRelaxed);
-    dst->objects_fetched.fetch_add(objects_fetched.load(kRelaxed), kRelaxed);
-    dst->index_candidates.fetch_add(index_candidates.load(kRelaxed), kRelaxed);
-    dst->index_probes.fetch_add(index_probes.load(kRelaxed), kRelaxed);
-    dst->predicates_evaluated.fetch_add(predicates_evaluated.load(kRelaxed),
-                                        kRelaxed);
-    dst->ref_fetches.fetch_add(ref_fetches.load(kRelaxed), kRelaxed);
-    dst->tuples_scanned.fetch_add(tuples_scanned.load(kRelaxed), kRelaxed);
-    dst->obj_cache_hits.fetch_add(obj_cache_hits.load(kRelaxed), kRelaxed);
-    dst->obj_cache_misses.fetch_add(obj_cache_misses.load(kRelaxed), kRelaxed);
-    if (used_index.load(kRelaxed)) dst->used_index.store(true, kRelaxed);
-  }
 
   // --- physical counters (buffer-pool delta) -------------------------------
 
@@ -116,9 +101,9 @@ class ExecContext {
 
   /// Arms a wall-clock budget measured from now. A zero duration makes the
   /// very next CheckBudget() fail (useful for cancellation tests). May be
-  /// called again to re-arm while workers poll CheckBudget concurrently:
-  /// the deadline itself is atomic, so readers see either the old or the
-  /// new deadline, never a torn time_point.
+  /// called again to re-arm while the query polls CheckBudget on another
+  /// thread: the deadline itself is atomic, so readers see either the old
+  /// or the new deadline, never a torn time_point.
   void set_budget(std::chrono::nanoseconds budget) {
     auto deadline = std::chrono::steady_clock::now() + budget;
     deadline_ns_.store(deadline.time_since_epoch().count(),
@@ -154,8 +139,7 @@ class ExecContext {
   /// Arms multiversion visibility: every operator in the plan resolves each
   /// OID to the newest committed version <= read_ts instead of trusting the
   /// raw heap image. The caller (QueryEngine::Execute) owns the underlying
-  /// Snapshot pin; the context only carries the timestamp. Parallel scans
-  /// copy it onto their worker shadow contexts.
+  /// Snapshot pin; the context only carries the timestamp.
   void set_snapshot(uint64_t read_ts) {
     snapshot_ts_ = read_ts;
     snapshot_active_ = true;
@@ -169,36 +153,17 @@ class ExecContext {
   bool snapshot_active() const { return snapshot_active_; }
   uint64_t snapshot_ts() const { return snapshot_ts_; }
 
-  // --- scan parallelism knob ----------------------------------------------
-
-  /// Worker count the lowering uses for extent scans; 1 (default) lowers
-  /// to the serial ExtentScan/HierarchyScan operators.
-  void set_scan_parallelism(size_t n) { scan_parallelism_ = n == 0 ? 1 : n; }
-  size_t scan_parallelism() const { return scan_parallelism_; }
-
-  // --- batch size knob ------------------------------------------------------
-
-  /// Rows exchanged per Operator::NextBatch call. The default (256) is
-  /// small enough that a batch of decoded objects stays cache-resident and
-  /// large enough to amortize virtual dispatch, span accounting, and
-  /// budget polling. 1 degrades to row-at-a-time (the bench baseline).
-  static constexpr size_t kDefaultBatchSize = 256;
-  void set_batch_size(size_t n) { batch_size_ = n == 0 ? 1 : n; }
-  size_t batch_size() const { return batch_size_; }
-
   // --- per-batch path-hop memo ----------------------------------------------
 
   /// Batch-scoped memo for path-expression hops (ref Oid -> resident
   /// image). A 256-row batch of Vehicles typically dereferences only a
   /// handful of distinct Companies, so memoizing within the batch turns
-  /// ~256 shared-cache lookups into ~10. Armed only in batch mode
-  /// (batch_size > 1); the Filter clears it at every batch boundary, so
-  /// an entry lives for one slab and row-at-a-time reads stay untouched.
-  /// Not thread-safe by design: parallel-scan workers evaluate predicates
-  /// on private shadow contexts, each with its own memo (capped, since
-  /// workers have no batch boundary to clear at).
+  /// ~256 shared-cache lookups into ~10. The operator that evaluates the
+  /// predicate clears it at every batch boundary, so an entry lives for
+  /// one slab; kMaxHopMemo bounds its memory within a batch whose rows
+  /// fan out to many distinct targets. Not thread-safe by design: one
+  /// context serves one query on one thread.
   static constexpr size_t kMaxHopMemo = 1024;
-  bool hop_memo_active() const { return batch_size_ > 1; }
   const std::shared_ptr<const Object>* LookupHop(Oid oid) const {
     auto it = hop_memo_.find(oid);
     return it == hop_memo_.end() ? nullptr : &it->second;
@@ -213,7 +178,7 @@ class ExecContext {
 
   /// Arms per-operator span accounting (rows/loops/time/pages in
   /// Operator::stats()). Off by default: the un-armed overhead in each
-  /// Next call is a single relaxed load.
+  /// NextBatch call is a single relaxed load.
   void EnableAnalyze() {
     analyze_enabled_.store(true, std::memory_order_relaxed);
   }
@@ -264,15 +229,13 @@ class ExecContext {
   BufferPool* bp_ = nullptr;
   BufferPoolStats baseline_{};
   obs::FlightRecorder* recorder_ = nullptr;
-  size_t scan_parallelism_ = 1;
-  size_t batch_size_ = kDefaultBatchSize;
   std::unordered_map<Oid, std::shared_ptr<const Object>> hop_memo_;
-  // Set once before execution starts (no atomics needed: workers only read).
+  // Set once before execution starts (no atomics needed).
   bool snapshot_active_ = false;
   uint64_t snapshot_ts_ = 0;
   std::atomic<bool> has_deadline_{false};
   // steady_clock ticks since epoch; atomic because set_budget may re-arm
-  // while parallel scan workers read it through CheckBudget.
+  // while the query reads it through CheckBudget.
   std::atomic<std::chrono::steady_clock::rep> deadline_ns_{0};
   std::atomic<bool> cancelled_{false};
   std::atomic<bool> analyze_enabled_{false};

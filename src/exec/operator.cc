@@ -33,7 +33,7 @@ void RenderTree(const Operator& op, size_t depth, bool analyze,
   }
   if (analyze) {
     const OpStats& s = op.stats();
-    char buf[224];
+    char buf[256];
     int n = std::snprintf(buf, sizeof(buf),
                           "%s" "rows=%" PRIu64 " loops=%" PRIu64
                           " time=%.2fms pages=%" PRIu64 "+%" PRIu64,
@@ -50,6 +50,13 @@ void RenderTree(const Operator& op, size_t depth, bool analyze,
         static_cast<size_t>(n) < sizeof(buf)) {
       n += std::snprintf(buf + n, sizeof(buf) - n, " oc=%" PRIu64 "+%" PRIu64,
                          s.obj_cache_hits, s.obj_cache_misses);
+    }
+    // Scan input, shown only where an extent scan read objects: a fused
+    // scan emits only its matches, so rows alone would hide its work.
+    if (s.objects_scanned > 0 && n > 0 &&
+        static_cast<size_t>(n) < sizeof(buf)) {
+      n += std::snprintf(buf + n, sizeof(buf) - n, " scanned=%" PRIu64,
+                         s.objects_scanned);
     }
     if (n > 0 && static_cast<size_t>(n) < sizeof(buf)) {
       std::snprintf(buf + n, sizeof(buf) - n, ")");
@@ -79,33 +86,12 @@ std::string ExplainAnalyzeTree(const Operator& root) {
   return Render(root, /*analyze=*/true);
 }
 
-Status ForEachRow(Operator& root, ExecContext* ctx,
-                  const std::function<Status(Row&)>& fn) {
-  Status st = root.Open(ctx);
-  if (st.ok()) {
-    Row row;
-    while (true) {
-      Result<bool> more = root.Next(ctx, &row);
-      if (!more.ok()) {
-        st = more.status();
-        break;
-      }
-      if (!*more) break;
-      st = fn(row);
-      if (!st.ok()) break;
-    }
-  }
-  root.Close(ctx);
-  return st;
-}
-
 Status ForEachRowBatched(Operator& root, ExecContext* ctx,
                          const std::function<Status(Row&)>& fn) {
-  if (ctx->batch_size() <= 1) return ForEachRow(root, ctx, fn);
   Status st = root.Open(ctx);
   if (st.ok()) {
     std::vector<Row> batch;
-    batch.reserve(ctx->batch_size());
+    batch.reserve(kBatchSize);
     while (true) {
       Result<size_t> n = root.NextBatch(ctx, &batch);
       if (!n.ok()) {

@@ -23,10 +23,9 @@ namespace exec {
 /// consumers never re-fetch what a scan just decoded); relational operators
 /// fill `tuple`. A Row is cheap to move, never to copy implicitly.
 ///
-/// Batched execution late-materializes: a batched Filter over index
-/// candidates evaluates its predicate against the shared resident image
-/// and emits the row with `obj` still empty (batch consumers read OIDs).
-/// The row-at-a-time path keeps its materialize-on-pass contract.
+/// Execution late-materializes: a Filter over index candidates, and a scan
+/// with a fused predicate, emit matching rows with `obj` still empty
+/// (consumers read OIDs).
 struct Row {
   Oid oid = kNilOid;
   std::optional<Object> obj;        // set by extent scans, not index scans
@@ -36,38 +35,38 @@ struct Row {
 /// Predicate hook the query layer injects into Filter / scans.
 /// Implemented by QueryEngine::Matches (path semantics, late-bound method
 /// calls); kept as a std::function so the exec layer does not depend on
-/// the query layer. Must be thread-safe: parallel scans evaluate it from
-/// several workers at once, each accounting on a private shadow
-/// ExecContext that is flushed into the query's context when the worker
-/// finishes (see ExecContext::FlushCountersInto).
+/// the query layer. Must be thread-safe: the server's worker pool
+/// evaluates the predicates of concurrent queries through one QueryEngine,
+/// each query on its own ExecContext.
 using MatchFn = std::function<Result<bool>(const Object&, ExecContext*)>;
 
 /// Per-operator EXPLAIN ANALYZE span, filled only while the context's
 /// analyze flag is armed. Time and pages are *inclusive* of children (a
-/// parent's Next drives its child's Next inside the measured window), like
-/// the "actual time" column of the classical EXPLAIN ANALYZE renderers.
-/// Plain fields: every wrapper call happens on the tree's consumer thread
-/// (parallel scan workers communicate through the row queue and never call
-/// operator methods), so no atomics are needed.
+/// parent's NextBatch drives its child's NextBatch inside the measured
+/// window), like the "actual time" column of the classical EXPLAIN ANALYZE
+/// renderers. Plain fields: a tree runs on one thread (the server's worker
+/// pool runs different queries, never one tree, concurrently), so no
+/// atomics are needed.
 struct OpStats {
   uint64_t rows = 0;         // rows this operator produced
-  uint64_t loops = 0;        // Next calls, including the end-of-stream one
-  uint64_t time_ns = 0;      // wall time inside Open+Next+Close
+  uint64_t loops = 0;        // NextBatch calls, the final empty one too
+  uint64_t time_ns = 0;      // wall time inside Open+NextBatch+Close
   uint64_t pages_hit = 0;    // buffer-pool hits during those calls
   uint64_t pages_missed = 0; // buffer-pool misses during those calls
   uint64_t pages_readahead = 0;  // hits served from a prefetched frame
   uint64_t obj_cache_hits = 0;   // Gets served by the object cache
   uint64_t obj_cache_misses = 0; // Gets that decoded from the heap
+  uint64_t objects_scanned = 0;  // extent-scan candidates read
 };
 
-/// Pull-based (Volcano) operator: Open prepares state, Next produces rows
-/// one at a time until it returns false, Close releases resources. The
-/// same ExecContext is threaded through all three calls and shared by the
-/// whole tree; operators account their work on its counters.
+/// Pull-based (Volcano) operator, batch at a time: Open prepares state,
+/// NextBatch produces up to kBatchSize rows per call until it returns 0,
+/// Close releases resources. The same ExecContext is threaded through all
+/// three calls and shared by the whole tree; operators account their work
+/// on its counters.
 ///
-/// Lifecycle contract: Open exactly once, Next until false/error, Close
-/// exactly once (also after an error -- drivers must always Close so
-/// parallel operators can join their workers).
+/// Lifecycle contract: Open exactly once, NextBatch until 0/error, Close
+/// exactly once (also after an error -- drivers must always Close).
 ///
 /// The public lifecycle methods are non-virtual instrumentation shells
 /// around the virtual *Impl hooks subclasses provide: when the context has
@@ -84,28 +83,16 @@ class Operator {
     return OpenImpl(ctx);
   }
 
-  /// Fills *row and returns true, or returns false at end of stream.
-  Result<bool> Next(ExecContext* ctx, Row* row) {
-    if (!ctx->analyze_enabled()) return NextImpl(ctx, row);
-    Span span(this, ctx);
-    Result<bool> more = NextImpl(ctx, row);
-    ++stats_.loops;
-    if (more.ok() && *more) ++stats_.rows;
-    return more;
-  }
-
-  /// Batch-at-a-time pull: clears `*out`, fills it with up to
-  /// ctx->batch_size() rows, and returns the count -- 0 means end of
-  /// stream (a non-empty batch may be short of the target; only 0 ends
-  /// the stream). One NextBatch call pays the virtual dispatch, span
-  /// accounting and budget poll that row-at-a-time pays per row.
+  /// Clears `*out`, fills it with up to kBatchSize rows, and returns the
+  /// count -- 0 means end of stream (a non-empty batch may be short of the
+  /// target; only 0 ends the stream). One call pays the virtual dispatch,
+  /// span accounting and budget poll for the whole batch.
   Result<size_t> NextBatch(ExecContext* ctx, std::vector<Row>* out) {
     out->clear();
-    const size_t max = ctx->batch_size();
-    if (!ctx->analyze_enabled()) return NextBatchImpl(ctx, out, max);
+    if (!ctx->analyze_enabled()) return NextBatchImpl(ctx, out);
     Span span(this, ctx);
-    Result<size_t> n = NextBatchImpl(ctx, out, max);
-    ++stats_.loops;  // loops counts NextBatch calls in batch mode
+    Result<size_t> n = NextBatchImpl(ctx, out);
+    ++stats_.loops;
     if (n.ok()) stats_.rows += *n;
     return n;
   }
@@ -120,13 +107,11 @@ class Operator {
     RecordLifecycle(ctx, obs::TraceEventKind::kEnd);
   }
 
-  /// Batched scan+filter fusion: a parent Filter offers its predicate so
-  /// the scan can apply it inside NextBatchImpl, before a non-matching
-  /// object is ever moved out of the decoded page buffer (the batched
-  /// sibling of ParallelExtentScan's constructor-time pushdown). Returns
-  /// true iff this operator -- and, for composites, every child -- will
-  /// filter the rows it emits from NextBatchImpl. Row-at-a-time Next is
-  /// never affected; `pred` must outlive the operator's open lifecycle.
+  /// Scan+filter fusion: a parent Filter offers its predicate so the scan
+  /// can apply it inside NextBatchImpl, before a non-matching object is
+  /// ever moved out of the decoded page buffer. Returns true iff this
+  /// operator -- and, for composites, every child -- will filter the rows
+  /// it emits. `pred` must outlive the operator's open lifecycle.
   virtual bool AcceptBatchResidual(const MatchFn* pred) {
     (void)pred;
     return false;
@@ -155,28 +140,15 @@ class Operator {
 
  protected:
   virtual Status OpenImpl(ExecContext* ctx) = 0;
-  virtual Result<bool> NextImpl(ExecContext* ctx, Row* row) = 0;
+  /// `out` arrives empty; implementations append at most kBatchSize rows.
+  virtual Result<size_t> NextBatchImpl(ExecContext* ctx,
+                                       std::vector<Row>* out) = 0;
   virtual void CloseImpl(ExecContext* ctx) = 0;
-
-  /// Default batching: drain NextImpl row by row. Operators with cheaper
-  /// bulk paths (page buffers, candidate vectors, drain queues) override.
-  /// `out` arrives empty; implementations append at most `max` rows.
-  virtual Result<size_t> NextBatchImpl(ExecContext* ctx, std::vector<Row>* out,
-                                       size_t max) {
-    Row row;
-    while (out->size() < max) {
-      KIMDB_ASSIGN_OR_RETURN(bool more, NextImpl(ctx, &row));
-      if (!more) break;
-      out->push_back(std::move(row));
-      row = Row{};
-    }
-    return out->size();
-  }
 
  private:
   /// Emits the operator's open/close boundary into the flight recorder
-  /// (kExecOp; arg tags the operator so a dump can pair B/E events). Next
-  /// is deliberately not traced -- per-row events would flood the ring.
+  /// (kExecOp; arg tags the operator so a dump can pair B/E events).
+  /// NextBatch is deliberately not traced -- it would flood the ring.
   void RecordLifecycle(ExecContext* ctx, obs::TraceEventKind kind) {
     obs::FlightRecorder* r = ctx->recorder();
     if (r == nullptr) return;
@@ -193,6 +165,7 @@ class Operator {
           pages_(ctx->PageCountsNow()),
           oc_hits_(ctx->obj_cache_hits.load(std::memory_order_relaxed)),
           oc_misses_(ctx->obj_cache_misses.load(std::memory_order_relaxed)),
+          scanned_(ctx->objects_scanned.load(std::memory_order_relaxed)),
           start_(std::chrono::steady_clock::now()) {}
     ~Span() {
       auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -207,6 +180,8 @@ class Operator {
           ctx_->obj_cache_hits.load(std::memory_order_relaxed) - oc_hits_;
       op_->stats_.obj_cache_misses +=
           ctx_->obj_cache_misses.load(std::memory_order_relaxed) - oc_misses_;
+      op_->stats_.objects_scanned +=
+          ctx_->objects_scanned.load(std::memory_order_relaxed) - scanned_;
     }
 
    private:
@@ -215,6 +190,7 @@ class Operator {
     ExecContext::PageCounts pages_;
     uint64_t oc_hits_;
     uint64_t oc_misses_;
+    uint64_t scanned_;
     std::chrono::steady_clock::time_point start_;
   };
 
@@ -241,14 +217,8 @@ std::string ExplainTree(const Operator& root);
 /// under a context with EnableAnalyze().
 std::string ExplainAnalyzeTree(const Operator& root);
 
-/// Drives a tree to completion, handing every row to `fn`. Always Closes,
-/// including on error paths.
-Status ForEachRow(Operator& root, ExecContext* ctx,
-                  const std::function<Status(Row&)>& fn);
-
-/// Batch-at-a-time driver: pulls ctx->batch_size() rows per NextBatch and
-/// hands them to `fn` one by one. Degrades to ForEachRow when the batch
-/// size is 1. Always Closes, including on error paths.
+/// The one driver: pulls kBatchSize rows per NextBatch and hands them to
+/// `fn` one by one. Always Closes, including on error paths.
 Status ForEachRowBatched(Operator& root, ExecContext* ctx,
                          const std::function<Status(Row&)>& fn);
 

@@ -1,7 +1,6 @@
 #include "exec/operators.h"
 
 #include <algorithm>
-#include <iterator>
 
 namespace kimdb {
 namespace exec {
@@ -41,38 +40,31 @@ Status ExtentScan::OpenImpl(ExecContext* ctx) {
   buf_.clear();
   buf_pos_ = 0;
   seen_.clear();
-  ghosts_.clear();
-  ghost_pos_ = 0;
   ghost_done_ = false;
   ctx->Trace("ExtentScan(" + name_ + "): open, " +
              std::to_string(pages_.size()) + " page(s)");
   return Status::OK();
 }
 
-Result<bool> ExtentScan::NextImpl(ExecContext* ctx, Row* row) {
+Result<bool> ExtentScan::Refill(ExecContext* ctx) {
   const MvccTable* mvcc = store_->mvcc();
   const bool snap = ctx->snapshot_active() && mvcc != nullptr;
   const uint64_t read_ts = ctx->snapshot_ts();
-  while (buf_pos_ >= buf_.size()) {
+  buf_.clear();
+  buf_pos_ = 0;
+  while (buf_.empty()) {
     if (page_idx_ >= pages_.size()) {
       // Ghost pass: versions visible at the snapshot whose heap record was
       // deleted, or moved to a page this scan had already passed. The
       // seen-set keeps records the heap pass emitted from repeating.
-      if (snap && !ghost_done_) {
-        ghosts_ = mvcc->CollectVisible(cls_, read_ts);
-        ghost_pos_ = 0;
-        ghost_done_ = true;
-      }
-      while (ghost_pos_ < ghosts_.size()) {
-        auto& [oid, image] = ghosts_[ghost_pos_++];
+      if (!snap || ghost_done_) return false;
+      ghost_done_ = true;
+      for (auto& [oid, image] : mvcc->CollectVisible(cls_, read_ts)) {
         if (seen_.count(oid) > 0) continue;
-        ctx->objects_scanned.fetch_add(1, std::memory_order_relaxed);
-        row->oid = oid;
-        row->obj = *image;
-        row->tuple.clear();
-        return true;
+        buf_.push_back(*image);
       }
-      return false;
+      ctx->objects_scanned.fetch_add(buf_.size(), std::memory_order_relaxed);
+      return !buf_.empty();
     }
     KIMDB_RETURN_IF_ERROR(ctx->CheckBudget());
     if (page_idx_ >= ra_pos_) {
@@ -84,8 +76,6 @@ Result<bool> ExtentScan::NextImpl(ExecContext* ctx, Row* row) {
                                             ra_end - page_idx_));
       ra_pos_ = ra_end;
     }
-    buf_.clear();
-    buf_pos_ = 0;
     size_t decoded = 0;
     KIMDB_RETURN_IF_ERROR(store_->ForEachInClassOnPage(
         cls_, pages_[page_idx_++], [&](Object& obj) {
@@ -113,50 +103,35 @@ Result<bool> ExtentScan::NextImpl(ExecContext* ctx, Row* row) {
         }));
     ctx->objects_scanned.fetch_add(decoded, std::memory_order_relaxed);
   }
-  Object& obj = buf_[buf_pos_++];
-  row->oid = obj.oid();
-  row->obj = std::move(obj);
-  row->tuple.clear();
   return true;
 }
 
 Result<size_t> ExtentScan::NextBatchImpl(ExecContext* ctx,
-                                         std::vector<Row>* out, size_t max) {
-  while (out->size() < max) {
-    if (buf_pos_ < buf_.size()) {
-      // Bulk-move the rest of the decoded page buffer: one NextImpl call
-      // paid the page pin + MVCC resolution for all of these rows already.
-      // A fused predicate runs here, against the buffer entry, so a
-      // non-matching object is never moved into the batch at all.
-      size_t take = std::min(max - out->size(), buf_.size() - buf_pos_);
-      for (size_t i = 0; i < take; ++i) {
-        Object& obj = buf_[buf_pos_++];
-        if (residual_ != nullptr) {
-          KIMDB_ASSIGN_OR_RETURN(bool match, (*residual_)(obj, ctx));
-          if (!match) continue;
-          // Fused consumers read OIDs (late materialization): the match
-          // stays in the page buffer instead of moving into the batch.
-          out->emplace_back().oid = obj.oid();
-          continue;
-        }
-        Row& row = out->emplace_back();
-        row.oid = obj.oid();
-        row.obj = std::move(obj);
+                                         std::vector<Row>* out) {
+  while (out->size() < kBatchSize) {
+    if (buf_pos_ >= buf_.size()) {
+      KIMDB_ASSIGN_OR_RETURN(bool more, Refill(ctx));
+      if (!more) break;
+    }
+    // Bulk-move the decoded page buffer: one Refill paid the page pin and
+    // MVCC resolution for all of these rows already. A fused predicate
+    // runs here, against the buffer entry, so a non-matching object is
+    // never moved into the batch at all.
+    size_t take = std::min(kBatchSize - out->size(), buf_.size() - buf_pos_);
+    for (size_t i = 0; i < take; ++i) {
+      Object& obj = buf_[buf_pos_++];
+      if (residual_ != nullptr) {
+        KIMDB_ASSIGN_OR_RETURN(bool match, (*residual_)(obj, ctx));
+        if (!match) continue;
+        // Fused consumers read OIDs (late materialization): the match
+        // stays in the page buffer instead of moving into the batch.
+        out->emplace_back().oid = obj.oid();
+        continue;
       }
-      continue;
+      Row& row = out->emplace_back();
+      row.oid = obj.oid();
+      row.obj = std::move(obj);
     }
-    // Page advance / ghost pass: NextImpl refills the buffer (or emits one
-    // ghost row) with the full snapshot-resolution discipline.
-    Row row;
-    KIMDB_ASSIGN_OR_RETURN(bool more, NextImpl(ctx, &row));
-    if (!more) break;
-    if (residual_ != nullptr) {
-      KIMDB_ASSIGN_OR_RETURN(bool match, (*residual_)(*row.obj, ctx));
-      if (!match) continue;
-      out->emplace_back().oid = row.oid;
-      continue;
-    }
-    out->push_back(std::move(row));
   }
   return out->size();
 }
@@ -165,7 +140,6 @@ void ExtentScan::CloseImpl(ExecContext*) {
   pages_.clear();
   buf_.clear();
   seen_.clear();
-  ghosts_.clear();
 }
 
 // --- HierarchyScan ----------------------------------------------------------
@@ -178,19 +152,8 @@ Status HierarchyScan::OpenImpl(ExecContext* ctx) {
   return Status::OK();
 }
 
-Result<bool> HierarchyScan::NextImpl(ExecContext* ctx, Row* row) {
-  while (cur_ < extents_.size()) {
-    KIMDB_ASSIGN_OR_RETURN(bool more, extents_[cur_]->Next(ctx, row));
-    if (more) return true;
-    ++cur_;
-  }
-  return false;
-}
-
 Result<size_t> HierarchyScan::NextBatchImpl(ExecContext* ctx,
-                                            std::vector<Row>* out,
-                                            size_t max) {
-  (void)max;  // children read the batch size off the context
+                                            std::vector<Row>* out) {
   while (cur_ < extents_.size()) {
     KIMDB_ASSIGN_OR_RETURN(size_t n, extents_[cur_]->NextBatch(ctx, out));
     if (n > 0) return n;
@@ -263,67 +226,44 @@ Status IndexScan::ScanScope(ExecContext* ctx) {
                                    ? cat.Subtree(spec_.scope_class)
                                    : std::vector<ClassId>{spec_.scope_class};
   ctx->Trace(Describe() + ": path classes have versions, scanning scope");
+  std::vector<Row> batch;
   for (ClassId cls : scope) {
     Result<const ClassDef*> def = cat.GetClass(cls);
     // Driven through the *Impl hooks: the walk is this operator's work in
-    // EXPLAIN ANALYZE and traces, not a node of its own.
+    // EXPLAIN ANALYZE and traces, not a node of its own. The scan applies
+    // the re-check in its page buffer, as under a fusing Filter.
     ExtentScan scan(store_, cls,
                     def.ok() ? (*def)->name : std::to_string(cls));
     KIMDB_RETURN_IF_ERROR(scan.OpenImpl(ctx));
-    Row row;
-    Status st;
-    while (st.ok()) {
-      Result<bool> more = scan.NextImpl(ctx, &row);
-      if (!more.ok() || !*more) {
-        st = more.status();
-        break;
-      }
-      bool match = true;
-      if (spec_.recheck != nullptr) {
-        Result<bool> m = spec_.recheck(*row.obj, ctx);
-        st = m.status();
-        match = m.ok() && *m;
-      }
-      if (match) candidates_.push_back(row.oid);
-    }
+    if (spec_.recheck != nullptr) scan.AcceptBatchResidual(&spec_.recheck);
+    Result<size_t> n = size_t{0};
+    do {
+      ctx->ClearHopMemo();
+      batch.clear();
+      n = scan.NextBatchImpl(ctx, &batch);
+      for (const Row& row : batch) candidates_.push_back(row.oid);
+    } while (n.ok() && *n > 0);
     scan.CloseImpl(ctx);
-    KIMDB_RETURN_IF_ERROR(st);
+    KIMDB_RETURN_IF_ERROR(n.status());
   }
   return Status::OK();
 }
 
-Result<bool> IndexScan::NextCandidate(ExecContext* ctx, Oid* oid) {
-  while (pos_ < candidates_.size()) {
-    *oid = candidates_[pos_++];
-    if (!recheck_) return true;
-    KIMDB_ASSIGN_OR_RETURN(std::shared_ptr<const Object> image,
-                           FetchCandidate(store_, ctx, *oid));
-    if (image == nullptr) continue;
-    KIMDB_ASSIGN_OR_RETURN(bool match, spec_.recheck(*image, ctx));
-    if (match) return true;
-  }
-  return false;
-}
-
-Result<bool> IndexScan::NextImpl(ExecContext* ctx, Row* row) {
-  if (pos_ >= candidates_.size()) return false;
-  KIMDB_RETURN_IF_ERROR(ctx->CheckBudget());
-  KIMDB_ASSIGN_OR_RETURN(bool more, NextCandidate(ctx, &row->oid));
-  row->obj.reset();
-  row->tuple.clear();
-  return more;
-}
-
 Result<size_t> IndexScan::NextBatchImpl(ExecContext* ctx,
-                                        std::vector<Row>* out, size_t max) {
+                                        std::vector<Row>* out) {
   if (pos_ >= candidates_.size()) return 0;
   // One budget poll covers the whole slice of the candidate vector.
   KIMDB_RETURN_IF_ERROR(ctx->CheckBudget());
   if (recheck_) ctx->ClearHopMemo();
-  Oid oid;
-  while (out->size() < max) {
-    KIMDB_ASSIGN_OR_RETURN(bool more, NextCandidate(ctx, &oid));
-    if (!more) break;
+  while (out->size() < kBatchSize && pos_ < candidates_.size()) {
+    Oid oid = candidates_[pos_++];
+    if (recheck_) {
+      KIMDB_ASSIGN_OR_RETURN(std::shared_ptr<const Object> image,
+                             FetchCandidate(store_, ctx, oid));
+      if (image == nullptr) continue;
+      KIMDB_ASSIGN_OR_RETURN(bool match, spec_.recheck(*image, ctx));
+      if (!match) continue;
+    }
     out->emplace_back().oid = oid;
   }
   return out->size();
@@ -361,46 +301,15 @@ std::string IndexScan::Describe() const { return DescribeSpec(spec_); }
 Status Filter::OpenImpl(ExecContext* ctx) {
   prefetch_armed_ = false;
   KIMDB_RETURN_IF_ERROR(child_->Open(ctx));
-  // Fuse the predicate into a batched scan child: rows then arrive
-  // pre-filtered and NextBatchImpl just relays slabs. Off under EXPLAIN
-  // ANALYZE so per-operator row counts keep their unfused meaning (the
-  // scan's span reports objects scanned, this one's rows that passed).
-  fused_ = ctx->batch_size() > 1 && !ctx->analyze_enabled() &&
-           child_->AcceptBatchResidual(&pred_);
+  // Fuse the predicate into a scan child: rows then arrive pre-filtered
+  // and NextBatchImpl just relays slabs. EXPLAIN ANALYZE runs the same
+  // fused tree; the scan's span reports what it read as scanned=N.
+  fused_ = child_->AcceptBatchResidual(&pred_);
   return Status::OK();
 }
 
-Status Filter::MaterializeRow(ExecContext* ctx, Row* row, bool* skip) {
-  *skip = false;
-  if (row->obj.has_value()) return Status::OK();
-  // Snapshot fetches resolve to the version visible at read_ts; an
-  // object invisible at the snapshot is skipped exactly like a deleted
-  // index candidate.
-  KIMDB_ASSIGN_OR_RETURN(std::shared_ptr<const Object> image,
-                         FetchCandidate(store_, ctx, row->oid));
-  if (image == nullptr) {
-    *skip = true;
-    return Status::OK();
-  }
-  row->obj = *image;
-  return Status::OK();
-}
-
-Result<bool> Filter::NextImpl(ExecContext* ctx, Row* row) {
-  while (true) {
-    KIMDB_ASSIGN_OR_RETURN(bool more, child_->Next(ctx, row));
-    if (!more) return false;
-    bool skip = false;
-    KIMDB_RETURN_IF_ERROR(MaterializeRow(ctx, row, &skip));
-    if (skip) continue;
-    KIMDB_ASSIGN_OR_RETURN(bool match, pred_(*row->obj, ctx));
-    if (match) return true;
-  }
-}
-
-Result<size_t> Filter::NextBatchImpl(ExecContext* ctx, std::vector<Row>* out,
-                                     size_t max) {
-  (void)max;  // bounded by the child's batch size
+Result<size_t> Filter::NextBatchImpl(ExecContext* ctx,
+                                     std::vector<Row>* out) {
   if (fused_) {
     // The scan applied pred_ before a row ever left its page buffer. The
     // hop memo's batch scope is this relay call.
@@ -472,259 +381,6 @@ Result<size_t> Filter::NextBatchImpl(ExecContext* ctx, std::vector<Row>* out,
 void Filter::CloseImpl(ExecContext* ctx) {
   prefetch_.clear();
   child_->Close(ctx);
-}
-
-// --- ParallelExtentScan -----------------------------------------------------
-
-Status ParallelExtentScan::OpenImpl(ExecContext* ctx) {
-  Shutdown();  // re-open support: tear down any previous run
-  units_.clear();
-  queue_.clear();
-  out_buf_.clear();
-  out_pos_ = 0;
-  seen_.clear();
-  ghosts_.clear();
-  ghost_pos_ = 0;
-  ghost_done_ = false;
-  worker_error_ = Status::OK();
-  stop_.store(false, std::memory_order_release);
-
-  for (const auto& [cls, name] : classes_) {
-    KIMDB_ASSIGN_OR_RETURN(std::vector<PageId> pages,
-                           store_->ExtentPages(cls));
-    for (PageId p : pages) units_.push_back(Unit{cls, p});
-  }
-  size_t n = std::min(n_workers_, std::max<size_t>(1, units_.size()));
-  ctx->Trace(Describe() + ": open, " + std::to_string(units_.size()) +
-             " page(s) across " + std::to_string(n) + " worker(s)");
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    active_workers_ = n;
-  }
-  size_t chunk = (units_.size() + n - 1) / n;
-  for (size_t w = 0; w < n; ++w) {
-    size_t begin = std::min(units_.size(), w * chunk);
-    size_t end = std::min(units_.size(), begin + chunk);
-    threads_.emplace_back(&ParallelExtentScan::WorkerLoop, this, ctx, begin,
-                          end);
-  }
-  return Status::OK();
-}
-
-void ParallelExtentScan::WorkerLoop(ExecContext* ctx, size_t begin,
-                                    size_t end) {
-  // Counters accumulate on a worker-private shadow context and flush once
-  // at exit: with several workers doing per-object fetch_adds, the shared
-  // counter cache lines ping-pong between cores and eat the scan speedup.
-  // Budget / cancellation state stays on the real context.
-  ExecContext shadow;
-  const MvccTable* mvcc = store_->mvcc();
-  const bool snap = ctx->snapshot_active() && mvcc != nullptr;
-  const uint64_t read_ts = ctx->snapshot_ts();
-  // The predicate hook reads visibility off the context it evaluates
-  // under, so the shadow must carry the snapshot too (path hops).
-  if (snap) shadow.set_snapshot(read_ts);
-  std::vector<Oid> batch;
-  BufferPool* bp = store_->buffer_pool();
-  const size_t window = bp->readahead_window();
-  size_t ra_pos = begin;  // first unit of this range not yet staged
-  std::vector<PageId> ahead;
-  Status st;
-  for (size_t i = begin; i < end && st.ok(); ++i) {
-    const Unit& unit = units_[i];
-    st = ctx->CheckBudget();
-    if (!st.ok()) break;
-    if (i >= ra_pos) {
-      // Each worker stages the next window of its own page range.
-      size_t ra_end = std::min(end, i + window);
-      ahead.clear();
-      for (size_t j = i; j < ra_end; ++j) ahead.push_back(units_[j].page);
-      bp->ReadAhead(ahead);
-      ra_pos = ra_end;
-    }
-    batch.clear();
-    st = store_->ForEachInClassOnPage(
-        unit.cls, unit.page, [&](const Object& obj) -> Status {
-          if (stop_.load(std::memory_order_acquire)) {
-            return Status::Aborted("scan closed");
-          }
-          shadow.objects_scanned.fetch_add(1, std::memory_order_relaxed);
-          // Decode-then-resolve (see ExtentScan): the version chain, not
-          // the heap image, decides what the snapshot sees.
-          const Object* eval_obj = &obj;
-          std::shared_ptr<const Object> image;
-          if (snap) {
-            switch (mvcc->Resolve(obj.oid(), read_ts, &image)) {
-              case MvccLookup::kNoChain:
-                break;
-              case MvccLookup::kImage:
-                eval_obj = image.get();
-                break;
-              case MvccLookup::kInvisible:
-                return Status::OK();
-            }
-          }
-          bool match = true;
-          if (pred_) {
-            KIMDB_ASSIGN_OR_RETURN(match, pred_(*eval_obj, &shadow));
-          }
-          if (match) batch.push_back(eval_obj->oid());
-          return Status::OK();
-        });
-    if (st.ok() && !batch.empty() && !PushBatch(&batch)) {
-      st = Status::Aborted("scan closed");
-    }
-  }
-  shadow.FlushCountersInto(ctx);
-  std::lock_guard<std::mutex> lock(mu_);
-  // An Aborted status only reflects Close() racing the scan, not a fault.
-  if (!st.ok() && !st.IsAborted() && worker_error_.ok()) {
-    worker_error_ = st;
-  }
-  --active_workers_;
-  cv_rows_.notify_all();
-}
-
-bool ParallelExtentScan::PushBatch(std::vector<Oid>* batch) {
-  std::unique_lock<std::mutex> lock(mu_);
-  // A batch (one page's matches) may overshoot the capacity; the bound is
-  // on when a worker may *start* appending, which is all a backpressure
-  // limit needs.
-  cv_space_.wait(lock, [&] {
-    return queue_.size() < kQueueCapacity ||
-           stop_.load(std::memory_order_acquire);
-  });
-  if (stop_.load(std::memory_order_acquire)) return false;
-  queue_.insert(queue_.end(), batch->begin(), batch->end());
-  cv_rows_.notify_one();
-  return true;
-}
-
-Result<bool> ParallelExtentScan::NextImpl(ExecContext* ctx, Row* row) {
-  const MvccTable* mvcc = store_->mvcc();
-  const bool snap = ctx->snapshot_active() && mvcc != nullptr;
-  while (true) {
-    if (out_pos_ >= out_buf_.size()) {
-      // Drain everything queued in one lock acquisition; the consumer then
-      // serves rows lock-free until the buffer runs dry.
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_rows_.wait(lock, [&] {
-        return !queue_.empty() || active_workers_ == 0 || !worker_error_.ok();
-      });
-      if (!worker_error_.ok()) return worker_error_;
-      out_buf_.assign(queue_.begin(), queue_.end());
-      out_pos_ = 0;
-      queue_.clear();
-      lock.unlock();
-      cv_space_.notify_all();
-      if (out_buf_.empty()) {
-        // Workers drained. Under a snapshot, finish with the ghost pass:
-        // visible versions whose heap record moved or vanished mid-scan,
-        // deduplicated against everything already emitted and run through
-        // the same predicate the workers applied.
-        if (snap && !ghost_done_) {
-          for (const auto& [cls, name] : classes_) {
-            auto vis = mvcc->CollectVisible(cls, ctx->snapshot_ts());
-            ghosts_.insert(ghosts_.end(),
-                           std::make_move_iterator(vis.begin()),
-                           std::make_move_iterator(vis.end()));
-          }
-          ghost_pos_ = 0;
-          ghost_done_ = true;
-        }
-        while (ghost_pos_ < ghosts_.size()) {
-          auto& [oid, image] = ghosts_[ghost_pos_++];
-          if (seen_.count(oid) > 0) continue;
-          if (pred_) {
-            KIMDB_ASSIGN_OR_RETURN(bool match, pred_(*image, ctx));
-            if (!match) continue;
-          }
-          seen_.insert(oid);
-          row->oid = oid;
-          row->obj = *image;
-          row->tuple.clear();
-          return true;
-        }
-        return false;
-      }
-    }
-    Oid oid = out_buf_[out_pos_++];
-    // Dedup against a record decoded twice because it moved pages mid-scan
-    // (only possible -- and only tracked -- when a snapshot is armed).
-    if (snap && !seen_.insert(oid).second) continue;
-    row->oid = oid;
-    row->obj.reset();
-    row->tuple.clear();
-    return true;
-  }
-}
-
-Result<size_t> ParallelExtentScan::NextBatchImpl(ExecContext* ctx,
-                                                 std::vector<Row>* out,
-                                                 size_t max) {
-  const bool snap = ctx->snapshot_active() && store_->mvcc() != nullptr;
-  if (snap) {
-    // Snapshot mode interleaves seen-set dedup and the ghost pass; the
-    // row-at-a-time path already implements that discipline exactly.
-    return Operator::NextBatchImpl(ctx, out, max);
-  }
-  while (out->size() < max) {
-    if (out_pos_ >= out_buf_.size()) {
-      // Never block on the workers while rows are already in hand: a
-      // short batch keeps the consumer busy instead of idling on the
-      // condvar until a full one accumulates.
-      if (!out->empty()) break;
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_rows_.wait(lock, [&] {
-        return !queue_.empty() || active_workers_ == 0 || !worker_error_.ok();
-      });
-      if (!worker_error_.ok()) return worker_error_;
-      out_buf_.assign(queue_.begin(), queue_.end());
-      out_pos_ = 0;
-      queue_.clear();
-      lock.unlock();
-      cv_space_.notify_all();
-      if (out_buf_.empty()) break;  // workers drained; no ghosts without snap
-    }
-    size_t take = std::min(max - out->size(), out_buf_.size() - out_pos_);
-    for (size_t i = 0; i < take; ++i) {
-      out->emplace_back().oid = out_buf_[out_pos_++];
-    }
-  }
-  return out->size();
-}
-
-void ParallelExtentScan::CloseImpl(ExecContext* ctx) {
-  Shutdown();
-  ctx->Trace(Describe() + ": close");
-}
-
-void ParallelExtentScan::Shutdown() {
-  stop_.store(true, std::memory_order_release);
-  cv_space_.notify_all();
-  for (std::thread& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  threads_.clear();
-  queue_.clear();
-  out_buf_.clear();
-  out_pos_ = 0;
-  seen_.clear();
-  ghosts_.clear();
-  ghost_pos_ = 0;
-  ghost_done_ = false;
-}
-
-std::string ParallelExtentScan::Describe() const {
-  std::string names;
-  for (size_t i = 0; i < classes_.size(); ++i) {
-    if (i > 0) names += ", ";
-    names += classes_[i].second;
-  }
-  std::string out =
-      "ParallelExtentScan(" + names + ", workers=" + std::to_string(n_workers_);
-  if (pred_) out += ", pred=" + pred_text_;
-  return out + ")";
 }
 
 }  // namespace exec

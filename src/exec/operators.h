@@ -1,13 +1,9 @@
 #ifndef KIMDB_EXEC_OPERATORS_H_
 #define KIMDB_EXEC_OPERATORS_H_
 
-#include <condition_variable>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -23,7 +19,8 @@ namespace exec {
 // to the AcceptBatchResidual fusion hook it parameterizes.
 
 /// Scans the extent of exactly one class, page by page, producing
-/// materialized objects. Polls the budget at page granularity.
+/// materialized objects (bare OIDs of the matches once a parent fused its
+/// predicate). Polls the budget at page granularity.
 ///
 /// Under an armed snapshot (ExecContext::snapshot_active) every decoded
 /// record is resolved against the store's MVCC version table: records
@@ -36,10 +33,11 @@ class ExtentScan : public Operator {
   ExtentScan(const ObjectStore* store, ClassId cls, std::string class_name)
       : store_(store), cls_(cls), name_(std::move(class_name)) {}
 
+  // Public so IndexScan::ScanScope can drive a private scan without
+  // making it a node of the tree.
   Status OpenImpl(ExecContext* ctx) override;
-  Result<bool> NextImpl(ExecContext* ctx, Row* row) override;
-  Result<size_t> NextBatchImpl(ExecContext* ctx, std::vector<Row>* out,
-                               size_t max) override;
+  Result<size_t> NextBatchImpl(ExecContext* ctx,
+                               std::vector<Row>* out) override;
   void CloseImpl(ExecContext* ctx) override;
   std::string Describe() const override { return "ExtentScan(" + name_ + ")"; }
   bool AcceptBatchResidual(const MatchFn* pred) override {
@@ -48,10 +46,15 @@ class ExtentScan : public Operator {
   }
 
  private:
+  /// Refills buf_ from the next non-empty extent page -- or, past the last
+  /// page under a snapshot, with the ghost pass -- and returns false at
+  /// end of stream.
+  Result<bool> Refill(ExecContext* ctx);
+
   const ObjectStore* store_;
   ClassId cls_;
   std::string name_;
-  const MatchFn* residual_ = nullptr;  // fused predicate (batch mode only)
+  const MatchFn* residual_ = nullptr;  // fused predicate
   std::vector<PageId> pages_;
   size_t page_idx_ = 0;
   size_t ra_pos_ = 0;  // first extent page not yet staged via ReadAhead
@@ -59,8 +62,6 @@ class ExtentScan : public Operator {
   size_t buf_pos_ = 0;
   // Snapshot-mode state (unused when no snapshot is armed).
   std::unordered_set<Oid> seen_;  // OIDs already emitted from heap pages
-  std::vector<std::pair<Oid, std::shared_ptr<const Object>>> ghosts_;
-  size_t ghost_pos_ = 0;
   bool ghost_done_ = false;
 };
 
@@ -74,9 +75,8 @@ class HierarchyScan : public Operator {
       : root_name_(std::move(root_name)), extents_(std::move(extents)) {}
 
   Status OpenImpl(ExecContext* ctx) override;
-  Result<bool> NextImpl(ExecContext* ctx, Row* row) override;
-  Result<size_t> NextBatchImpl(ExecContext* ctx, std::vector<Row>* out,
-                               size_t max) override;
+  Result<size_t> NextBatchImpl(ExecContext* ctx,
+                               std::vector<Row>* out) override;
   void CloseImpl(ExecContext* ctx) override;
   std::string Describe() const override {
     return "HierarchyScan(" + root_name_ + ")";
@@ -118,9 +118,8 @@ class IndexScan : public Operator {
       : indexes_(indexes), store_(store), spec_(std::move(spec)) {}
 
   Status OpenImpl(ExecContext* ctx) override;
-  Result<bool> NextImpl(ExecContext* ctx, Row* row) override;
-  Result<size_t> NextBatchImpl(ExecContext* ctx, std::vector<Row>* out,
-                               size_t max) override;
+  Result<size_t> NextBatchImpl(ExecContext* ctx,
+                               std::vector<Row>* out) override;
   void CloseImpl(ExecContext* ctx) override;
   std::string Describe() const override;
 
@@ -129,9 +128,6 @@ class IndexScan : public Operator {
   static std::string DescribeSpec(const Spec& spec);
 
  private:
-  /// Next candidate that passes the re-check; false at end.
-  Result<bool> NextCandidate(ExecContext* ctx, Oid* oid);
-
   /// Fills candidates_ from the scope extents as the snapshot sees them,
   /// keeping the objects that pass Spec::recheck (all when it is null).
   Status ScanScope(ExecContext* ctx);
@@ -144,16 +140,13 @@ class IndexScan : public Operator {
   bool recheck_ = false;  // candidates must still pass spec_.recheck
 };
 
-/// Applies a residual predicate. In the row-at-a-time path, rows that
-/// arrive without a materialized object (index candidates) are
-/// point-fetched first; rows a scan already decoded are evaluated in
-/// place. The batched path is leaner twice over: a scan child that
-/// accepts AcceptBatchResidual evaluates the predicate inside its own
-/// page buffer (fusion -- NextBatch then just relays slabs), and index
-/// candidates are checked against the shared resident image without ever
-/// copying the object into the row (late materialization). OIDs whose
-/// objects vanished between index read and fetch are skipped either way,
-/// matching the serial engine.
+/// Applies a residual predicate. A scan child that accepts
+/// AcceptBatchResidual evaluates the predicate inside its own page buffer
+/// (fusion -- NextBatch then just relays slabs), and index candidates are
+/// checked against the shared resident image without ever copying the
+/// object into the row (late materialization). OIDs whose objects
+/// vanished between index read and fetch are skipped, matching the serial
+/// engine.
 class Filter : public Operator {
  public:
   Filter(std::unique_ptr<Operator> child, const ObjectStore* store,
@@ -164,9 +157,8 @@ class Filter : public Operator {
         pred_text_(std::move(pred_text)) {}
 
   Status OpenImpl(ExecContext* ctx) override;
-  Result<bool> NextImpl(ExecContext* ctx, Row* row) override;
-  Result<size_t> NextBatchImpl(ExecContext* ctx, std::vector<Row>* out,
-                               size_t max) override;
+  Result<size_t> NextBatchImpl(ExecContext* ctx,
+                               std::vector<Row>* out) override;
   void CloseImpl(ExecContext* ctx) override;
   std::string Describe() const override {
     return "Filter(" + pred_text_ + ")";
@@ -176,11 +168,6 @@ class Filter : public Operator {
   }
 
  private:
-  /// Fetches the row's object if the child delivered only an OID; sets
-  /// `*skip` for candidates that vanished since the index probe (expected
-  /// churn) instead of failing the query.
-  Status MaterializeRow(ExecContext* ctx, Row* row, bool* skip);
-
   std::unique_ptr<Operator> child_;
   const ObjectStore* store_;
   MatchFn pred_;
@@ -189,86 +176,11 @@ class Filter : public Operator {
   // Stage candidate pages for the next batch? Armed only after a batch
   // missed the object cache: a warm query then never pays the per-row
   // directory lookups (there is nothing to hide them behind), while a cold
-  // one pays synchronous misses for its first batch only -- exactly what
-  // row-at-a-time execution pays for every row.
+  // one pays synchronous misses for its first batch only.
   bool prefetch_armed_ = false;
   // Did the child accept pred_ for in-scan evaluation at Open? Batches
   // then arrive pre-filtered and NextBatchImpl just relays them.
   bool fused_ = false;
-};
-
-/// Partitions the extent pages of the classes in scope into contiguous
-/// ranges and scans them from a small worker pool, evaluating the pushed-
-/// down predicate inside the workers (so matching -- the expensive part of
-/// a cold scan -- parallelizes too). Matching OIDs flow to the consumer
-/// through a bounded queue; row order is therefore nondeterministic, but
-/// the produced *set* equals the serial scan's. Workers poll the budget at
-/// page granularity and the first real worker error is surfaced by Next.
-///
-/// Snapshot mode mirrors ExtentScan: workers resolve each decoded record
-/// against the MVCC table (evaluating the predicate on the visible version)
-/// and the consumer runs the seen-set-deduplicated ghost pass once the
-/// workers drain.
-class ParallelExtentScan : public Operator {
- public:
-  /// `classes` are (id, name) pairs in scope order; `pred` may be null for
-  /// an unfiltered scan.
-  ParallelExtentScan(const ObjectStore* store,
-                     std::vector<std::pair<ClassId, std::string>> classes,
-                     size_t n_workers, MatchFn pred, std::string pred_text)
-      : store_(store),
-        classes_(std::move(classes)),
-        n_workers_(n_workers == 0 ? 1 : n_workers),
-        pred_(std::move(pred)),
-        pred_text_(std::move(pred_text)) {}
-
-  ~ParallelExtentScan() override { Shutdown(); }
-
-  Status OpenImpl(ExecContext* ctx) override;
-  Result<bool> NextImpl(ExecContext* ctx, Row* row) override;
-  Result<size_t> NextBatchImpl(ExecContext* ctx, std::vector<Row>* out,
-                               size_t max) override;
-  void CloseImpl(ExecContext* ctx) override;
-  std::string Describe() const override;
-
- private:
-  struct Unit {
-    ClassId cls;
-    PageId page;
-  };
-
-  void WorkerLoop(ExecContext* ctx, size_t begin, size_t end);
-  /// Appends one page's matches under a single lock (per-OID handoff costs
-  /// a mutex + condvar round-trip per row, which dominates a fast scan).
-  /// Blocks while the queue is full; false once the scan is shutting down.
-  bool PushBatch(std::vector<Oid>* batch);
-  void Shutdown();
-
-  static constexpr size_t kQueueCapacity = 4096;
-
-  const ObjectStore* store_;
-  std::vector<std::pair<ClassId, std::string>> classes_;
-  size_t n_workers_;
-  MatchFn pred_;
-  std::string pred_text_;
-
-  std::vector<Unit> units_;
-  std::vector<std::thread> threads_;
-  std::atomic<bool> stop_{false};
-
-  std::mutex mu_;
-  std::condition_variable cv_rows_;   // consumer waits for rows/finish
-  std::condition_variable cv_space_;  // workers wait for queue space
-  std::deque<Oid> queue_;
-  size_t active_workers_ = 0;
-  Status worker_error_;
-  std::vector<Oid> out_buf_;  // consumer-side drain buffer (no lock needed)
-  size_t out_pos_ = 0;
-  // Snapshot-mode state, consumer-side only (unused without a snapshot).
-  std::unordered_set<Oid> seen_;
-  std::vector<std::pair<Oid, std::shared_ptr<const Object>>> ghosts_;
-  size_t ghost_pos_ = 0;
-  bool ghost_done_ = false;
 };
 
 }  // namespace exec

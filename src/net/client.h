@@ -15,8 +15,8 @@ namespace net {
 /// Blocking wire-protocol client: one TCP connection, synchronous
 /// request/response helpers plus an explicit pipelined batch API
 /// (`Pipeline`) that writes many frames before reading any response --
-/// that is what lets `bench_e14_loadgen` keep the server's per-connection
-/// slot queues deep enough to merge commits into WAL group-commit batches.
+/// that is what lets one connection keep the server's per-connection slot
+/// queues deep enough to merge commits into WAL group-commit batches.
 /// Not thread-safe; use one Client per thread.
 class Client {
  public:

@@ -98,7 +98,7 @@ Result<std::unique_ptr<Server>> Server::Start(Database* db,
   }
 
   // The server's observability lives in the database's registry, so one
-  // snapshot covers the engine and its front-end (ISSUE: loadgen reads
+  // snapshot covers the engine and its front-end (a load generator reads
   // p50/p95/p99 and pipeline depth straight from registry diffs).
   obs::MetricsRegistry& m = db->metrics();
   srv->connections_ = m.GetGauge("net.connections");

@@ -506,12 +506,11 @@ exec::MatchFn QueryEngine::MatchFnFor(ExprPtr pred) const {
   if (!pred) return nullptr;
   return [this, pred = std::move(pred)](
              const Object& obj, exec::ExecContext* ctx) -> Result<bool> {
-    // Matches accumulates into a thread-local QueryStats, flushed to the
-    // shared atomics afterwards, so parallel workers never contend on a
-    // plain struct. Visibility comes off the evaluating context: snapshot
-    // queries must also hop path expressions at their read timestamp.
-    ReadView view{ctx->snapshot_active(), ctx->snapshot_ts(),
-                  ctx->hop_memo_active() ? ctx : nullptr};
+    // Matches accumulates into a local QueryStats, flushed to the context's
+    // atomics afterwards. Visibility comes off the evaluating context:
+    // snapshot queries must also hop path expressions at their read
+    // timestamp, through the context's batch-scoped hop memo.
+    ReadView view{ctx->snapshot_active(), ctx->snapshot_ts(), ctx};
     QueryStats local;
     Result<bool> match = Matches(obj, pred, &local, view);
     ctx->predicates_evaluated.fetch_add(local.predicates_evaluated,
@@ -526,7 +525,7 @@ exec::MatchFn QueryEngine::MatchFnFor(ExprPtr pred) const {
 }
 
 Result<std::unique_ptr<exec::Operator>> QueryEngine::Lower(
-    const Query& q, const QueryPlan& plan, size_t parallelism) const {
+    const Query& q, const QueryPlan& plan) const {
   if (plan.index_scan) {
     exec::IndexScan::Spec spec;
     spec.index_id = plan.index_id;
@@ -566,19 +565,6 @@ Result<std::unique_ptr<exec::Operator>> QueryEngine::Lower(
   std::vector<ClassId> scope = q.hierarchy_scope
                                    ? cat.Subtree(q.target)
                                    : std::vector<ClassId>{q.target};
-  if (parallelism > 1) {
-    // Predicate pushdown: matching runs inside the scan workers, so result
-    // order is nondeterministic (the set is unchanged).
-    std::vector<std::pair<ClassId, std::string>> classes;
-    classes.reserve(scope.size());
-    for (ClassId c : scope) classes.emplace_back(c, name_of(c));
-    std::unique_ptr<exec::Operator> pscan =
-        std::make_unique<exec::ParallelExtentScan>(
-            store_, std::move(classes), parallelism, MatchFnFor(q.predicate),
-            q.predicate ? q.predicate->ToString() : "");
-    if (plan.cost_based) pscan->SetEstimates(plan.est_rows, plan.est_cost);
-    return pscan;
-  }
   std::unique_ptr<exec::Operator> scan;
   if (q.hierarchy_scope) {
     std::vector<std::unique_ptr<exec::ExtentScan>> extents;
@@ -637,6 +623,13 @@ Result<std::vector<Oid>> QueryEngine::Execute(const Query& q,
 
 Result<std::vector<Oid>> QueryEngine::Execute(const Query& q,
                                               exec::ExecContext* ctx) const {
+  std::unique_ptr<exec::Operator> root;
+  return Run(q, ctx, &root);
+}
+
+Result<std::vector<Oid>> QueryEngine::Run(
+    const Query& q, exec::ExecContext* ctx,
+    std::unique_ptr<exec::Operator>* root) const {
   // Pin a snapshot for the duration of the query (when the store runs
   // under a TxnManager): the whole plan -- scans, point fetches, path
   // hops -- reads one transaction-consistent state with zero lock-manager
@@ -650,12 +643,15 @@ Result<std::vector<Oid>> QueryEngine::Execute(const Query& q,
     ctx->set_snapshot(snap.read_ts());
     armed_here = true;
   }
-  KIMDB_ASSIGN_OR_RETURN(QueryPlan plan, Plan(q, ReadTsOf(*ctx)));
-  RecordPlanOutcome(plan, ctx);
-  Result<std::unique_ptr<exec::Operator>> root =
-      Lower(q, plan, ctx->scan_parallelism());
-  Result<std::vector<Oid>> result =
-      root.ok() ? exec::CollectOids(**root, ctx) : root.status();
+  Result<QueryPlan> plan = Plan(q, ReadTsOf(*ctx));
+  if (plan.ok()) RecordPlanOutcome(*plan, ctx);
+  Result<std::unique_ptr<exec::Operator>> lowered =
+      plan.ok() ? Lower(q, *plan) : plan.status();
+  Result<std::vector<Oid>> result = lowered.status();
+  if (lowered.ok()) {
+    *root = std::move(*lowered);
+    result = exec::CollectOids(**root, ctx);
+  }
   if (result.ok()) {
     ctx->result_rows.store(result->size(), std::memory_order_relaxed);
   }
@@ -674,28 +670,11 @@ Result<std::string> QueryEngine::Explain(const Query& q) const {
 Result<std::string> QueryEngine::ExplainAnalyze(const Query& q,
                                                 exec::ExecContext* ctx) const {
   ctx->EnableAnalyze();
-  // Same snapshot discipline as Execute: the analyzed run reads the same
-  // consistent state a real execution would.
-  Snapshot snap;
-  bool armed_here = false;
-  if (!ctx->snapshot_active() && store_->mvcc() != nullptr) {
-    snap = store_->mvcc()->AcquireSnapshot();
-    ctx->set_snapshot(snap.read_ts());
-    armed_here = true;
-  }
-  KIMDB_ASSIGN_OR_RETURN(QueryPlan plan, Plan(q, ReadTsOf(*ctx)));
-  RecordPlanOutcome(plan, ctx);
-  Result<std::unique_ptr<exec::Operator>> root =
-      Lower(q, plan, ctx->scan_parallelism());
-  Result<std::vector<Oid>> rows =
-      root.ok() ? exec::CollectOids(**root, ctx) : root.status();
-  if (rows.ok()) {
-    ctx->result_rows.store(rows->size(), std::memory_order_relaxed);
-  }
-  if (armed_here) ctx->clear_snapshot();
-  KIMDB_RETURN_IF_ERROR(rows.status());
-  std::string out = exec::ExplainAnalyzeTree(**root);
-  out += "\nResult: " + std::to_string(rows->size()) + " rows";
+  // The same run as Execute: same snapshot discipline, same tree.
+  std::unique_ptr<exec::Operator> root;
+  KIMDB_ASSIGN_OR_RETURN(std::vector<Oid> rows, Run(q, ctx, &root));
+  std::string out = exec::ExplainAnalyzeTree(*root);
+  out += "\nResult: " + std::to_string(rows.size()) + " rows";
   return out;
 }
 

@@ -50,7 +50,7 @@ QueryStats StatsFromExecContext(const exec::ExecContext& ctx);
 /// expression hops resolve each referenced object to the version visible
 /// at read_ts (ObjectStore::GetSharedSnapshot). `hop_memo`, when set,
 /// points at the batch-scoped dereference memo of the evaluating context
-/// (batch mode only -- see ExecContext::LookupHop).
+/// (see ExecContext::LookupHop).
 struct ReadView {
   bool snapshot = false;
   uint64_t read_ts = 0;
@@ -90,10 +90,9 @@ struct QueryPlan {
 /// Plans and runs queries by lowering plans onto the pull-based operator
 /// pipeline in src/exec: index selection (single-class / class-hierarchy /
 /// nested indexes) becomes an IndexScan, scope scans become
-/// ExtentScan/HierarchyScan (or ParallelExtentScan when the ExecContext
-/// asks for scan parallelism), and predicates -- existential path
-/// semantics, late-bound method calls -- run inside Filter or are pushed
-/// into scan workers.
+/// ExtentScan/HierarchyScan, and predicates -- existential path
+/// semantics, late-bound method calls -- run inside Filter or fused into
+/// the scan below it.
 class QueryEngine {
  public:
   QueryEngine(ObjectStore* store, IndexManager* indexes,
@@ -124,21 +123,19 @@ class QueryEngine {
   Result<QueryPlan> Plan(const Query& q,
                          std::optional<uint64_t> read_ts = std::nullopt) const;
 
-  /// Lowers a plan to its operator tree. `parallelism` > 1 lowers
-  /// non-index scans to ParallelExtentScan with that many workers. Index
-  /// plans always lower to IndexScan; under a snapshot the scan decides at
-  /// Open whether its candidates need a re-check or, for a nested index
-  /// whose path classes have versions, a scope scan (DESIGN.md §13).
+  /// Lowers a plan to its operator tree. Index plans always lower to
+  /// IndexScan; under a snapshot the scan decides at Open whether its
+  /// candidates need a re-check or, for a nested index whose path classes
+  /// have versions, a scope scan (DESIGN.md §13).
   Result<std::unique_ptr<exec::Operator>> Lower(const Query& q,
-                                                const QueryPlan& plan,
-                                                size_t parallelism = 1) const;
+                                                const QueryPlan& plan) const;
 
   /// Runs the query; returns matching OIDs.
   Result<std::vector<Oid>> Execute(const Query& q,
                                    QueryStats* stats = nullptr) const;
 
   /// Runs the query under a caller-provided context (budget, trace,
-  /// scan-parallelism knob, unified counters).
+  /// snapshot, unified counters).
   Result<std::vector<Oid>> Execute(const Query& q,
                                    exec::ExecContext* ctx) const;
 
@@ -173,6 +170,11 @@ class QueryEngine {
   ObjectStore* store() const { return store_; }
 
  private:
+  /// Plans, lowers and drives the query under `ctx` (pinning a snapshot
+  /// unless the caller armed one), leaving the executed tree in `*root`.
+  Result<std::vector<Oid>> Run(const Query& q, exec::ExecContext* ctx,
+                               std::unique_ptr<exec::Operator>* root) const;
+
   /// Wraps Matches as the thread-safe predicate hook operators take,
   /// flushing the per-call counters into the shared context atomics.
   exec::MatchFn MatchFnFor(ExprPtr pred) const;

@@ -1,5 +1,6 @@
 #include "rel/query_ops.h"
 
+#include <iterator>
 #include <memory>
 #include <utility>
 
@@ -7,24 +8,26 @@ namespace kimdb {
 namespace rel {
 
 // Each entry point lowers to a small operator tree (rel_operators.h) and
-// drives it with exec::ForEachRow, so the relational surface keeps its
-// callback-style API while the execution itself is the shared Volcano
+// drives it with exec::ForEachRowBatched, so the relational surface keeps
+// its callback-style API while the execution itself is the shared batched
 // substrate. `ctx` is optional for callers that only want results.
 
 namespace {
 
 /// Runs `root` to completion, splitting every emitted row at `split`
-/// columns into the (left, right) pair the JoinConsumer expects.
+/// columns into the (left, right) pair the JoinConsumer expects. The row
+/// is the driver's to consume: its right half moves out and the left half
+/// stays in place.
 Status DriveJoin(exec::Operator& root, exec::ExecContext* ctx, size_t split,
                  const JoinConsumer& fn) {
   exec::ExecContext local;
   if (ctx == nullptr) ctx = &local;
-  return exec::ForEachRow(root, ctx, [&](exec::Row& row) {
-    Tuple lt(row.tuple.begin(),
-             row.tuple.begin() + static_cast<ptrdiff_t>(split));
-    Tuple rt(row.tuple.begin() + static_cast<ptrdiff_t>(split),
-             row.tuple.end());
-    return fn(lt, rt);
+  return exec::ForEachRowBatched(root, ctx, [&](exec::Row& row) {
+    auto mid = row.tuple.begin() + static_cast<ptrdiff_t>(split);
+    Tuple rt(std::make_move_iterator(mid),
+             std::make_move_iterator(row.tuple.end()));
+    row.tuple.erase(mid, row.tuple.end());
+    return fn(row.tuple, rt);
   });
 }
 
@@ -36,7 +39,7 @@ Status Select(const Relation& rel, const TuplePredicate& pred,
   exec::ExecContext local;
   if (ctx == nullptr) ctx = &local;
   RelScan scan(&rel, &pred);
-  return exec::ForEachRow(scan, ctx, [&](exec::Row& row) {
+  return exec::ForEachRowBatched(scan, ctx, [&](exec::Row& row) {
     return fn(row.tuple);
   });
 }
@@ -51,7 +54,7 @@ Status SelectEq(const Relation& rel, std::string_view column,
   if (ctx == nullptr) ctx = &local;
   if (RelIndex* idx = rel.FindIndex(column)) {
     RelIndexLookup lookup(&rel, idx, key, std::string(column));
-    return exec::ForEachRow(lookup, ctx, [&](exec::Row& row) {
+    return exec::ForEachRowBatched(lookup, ctx, [&](exec::Row& row) {
       return fn(row.tuple);
     });
   }

@@ -37,9 +37,14 @@ Status RelScan::OpenImpl(exec::ExecContext* ctx) {
   return Status::OK();
 }
 
-Result<bool> RelScan::NextImpl(exec::ExecContext* ctx, exec::Row* row) {
-  while (buf_pos_ >= buf_.size()) {
-    if (page_idx_ >= pages_.size()) return false;
+Result<size_t> RelScan::NextBatchImpl(exec::ExecContext* ctx,
+                                      std::vector<exec::Row>* out) {
+  while (out->size() < exec::kBatchSize) {
+    if (buf_pos_ < buf_.size()) {
+      out->emplace_back().tuple = std::move(buf_[buf_pos_++]);
+      continue;
+    }
+    if (page_idx_ >= pages_.size()) break;
     KIMDB_RETURN_IF_ERROR(ctx->CheckBudget());
     buf_.clear();
     buf_pos_ = 0;
@@ -59,10 +64,7 @@ Result<bool> RelScan::NextImpl(exec::ExecContext* ctx, exec::Row* row) {
     ctx->tuples_scanned.fetch_add(scanned, std::memory_order_relaxed);
     ctx->predicates_evaluated.fetch_add(evaluated, std::memory_order_relaxed);
   }
-  row->oid = kNilOid;
-  row->obj.reset();
-  row->tuple = std::move(buf_[buf_pos_++]);
-  return true;
+  return out->size();
 }
 
 void RelScan::CloseImpl(exec::ExecContext*) {
@@ -93,15 +95,16 @@ Status RelIndexLookup::OpenImpl(exec::ExecContext* ctx) {
   return Status::OK();
 }
 
-Result<bool> RelIndexLookup::NextImpl(exec::ExecContext* ctx, exec::Row* row) {
-  if (pos_ >= rids_.size()) return false;
+Result<size_t> RelIndexLookup::NextBatchImpl(exec::ExecContext* ctx,
+                                             std::vector<exec::Row>* out) {
+  if (pos_ >= rids_.size()) return 0;
   KIMDB_RETURN_IF_ERROR(ctx->CheckBudget());
-  KIMDB_ASSIGN_OR_RETURN(Tuple t, rel_->Get(rids_[pos_++]));
-  ctx->objects_fetched.fetch_add(1, std::memory_order_relaxed);
-  row->oid = kNilOid;
-  row->obj.reset();
-  row->tuple = std::move(t);
-  return true;
+  while (out->size() < exec::kBatchSize && pos_ < rids_.size()) {
+    KIMDB_ASSIGN_OR_RETURN(Tuple t, rel_->Get(rids_[pos_++]));
+    out->emplace_back().tuple = std::move(t);
+    ctx->objects_fetched.fetch_add(1, std::memory_order_relaxed);
+  }
+  return out->size();
 }
 
 void RelIndexLookup::CloseImpl(exec::ExecContext*) {
@@ -109,62 +112,71 @@ void RelIndexLookup::CloseImpl(exec::ExecContext*) {
   pos_ = 0;
 }
 
-// --- NestedLoopJoinOp --------------------------------------------------------
+// --- JoinOp ------------------------------------------------------------------
 
-Status NestedLoopJoinOp::OpenImpl(exec::ExecContext* ctx) {
-  matches_.clear();
+Status JoinOp::OpenImpl(exec::ExecContext* ctx) {
+  left_batch_.clear();
+  left_pos_ = 0;
+  matches_ = nullptr;
   match_pos_ = 0;
-  left_done_ = false;
   return left_->Open(ctx);
 }
 
-Result<bool> NestedLoopJoinOp::NextImpl(exec::ExecContext* ctx, exec::Row* row) {
-  for (;;) {
-    if (match_pos_ < matches_.size()) {
-      Concat(left_row_, matches_[match_pos_++], &row->tuple);
-      row->oid = kNilOid;
-      row->obj.reset();
-      return true;
+Result<size_t> JoinOp::NextBatchImpl(exec::ExecContext* ctx,
+                                     std::vector<exec::Row>* out) {
+  KIMDB_RETURN_IF_ERROR(ctx->CheckBudget());
+  while (out->size() < exec::kBatchSize) {
+    if (matches_ != nullptr && match_pos_ < matches_->size()) {
+      Concat(left_row_, (*matches_)[match_pos_++],
+             &out->emplace_back().tuple);
+      continue;
     }
-    if (left_done_) return false;
-    exec::Row left;
-    KIMDB_ASSIGN_OR_RETURN(bool ok, left_->Next(ctx, &left));
-    if (!ok) {
-      left_done_ = true;
-      return false;
+    if (left_pos_ >= left_batch_.size()) {
+      // Emit what this left batch produced before pulling the next one.
+      if (!out->empty()) break;
+      KIMDB_ASSIGN_OR_RETURN(size_t n, left_->NextBatch(ctx, &left_batch_));
+      left_pos_ = 0;
+      if (n == 0) break;
     }
-    KIMDB_RETURN_IF_ERROR(ctx->CheckBudget());
-    left_row_ = std::move(left.tuple);
-    const Value& key = left_row_[static_cast<size_t>(left_col_)];
-    // The whole point of the naive plan: re-scan the right table for every
-    // left row, even when the key is null (faithful to the textbook loop).
-    matches_.clear();
+    left_row_ = std::move(left_batch_[left_pos_++].tuple);
     match_pos_ = 0;
-    uint64_t scanned = 0;
-    KIMDB_RETURN_IF_ERROR(right_->ForEach([&](RecordId, const Tuple& rt) {
-      ++scanned;
-      if (!key.is_null() &&
-          key.Compare(rt[static_cast<size_t>(right_col_)]) == 0) {
-        matches_.push_back(rt);
-      }
-      return Status::OK();
-    }));
-    ctx->tuples_scanned.fetch_add(scanned, std::memory_order_relaxed);
+    KIMDB_RETURN_IF_ERROR(
+        Probe(ctx, left_row_[static_cast<size_t>(left_col_)], &matches_));
   }
+  return out->size();
 }
 
-void NestedLoopJoinOp::CloseImpl(exec::ExecContext* ctx) {
+void JoinOp::CloseImpl(exec::ExecContext* ctx) {
   left_->Close(ctx);
-  matches_.clear();
-  match_pos_ = 0;
+  left_batch_.clear();
+  matches_ = nullptr;
+}
+
+// --- NestedLoopJoinOp --------------------------------------------------------
+
+Status NestedLoopJoinOp::Probe(exec::ExecContext* ctx, const Value& key,
+                               const std::vector<Tuple>** matches) {
+  // The whole point of the naive plan: re-scan the right table for every
+  // left row, even when the key is null (faithful to the textbook loop).
+  found_.clear();
+  *matches = &found_;
+  uint64_t scanned = 0;
+  KIMDB_RETURN_IF_ERROR(right_->ForEach([&](RecordId, const Tuple& rt) {
+    ++scanned;
+    if (!key.is_null() &&
+        key.Compare(rt[static_cast<size_t>(right_col_)]) == 0) {
+      found_.push_back(rt);
+    }
+    return Status::OK();
+  }));
+  ctx->tuples_scanned.fetch_add(scanned, std::memory_order_relaxed);
+  return Status::OK();
 }
 
 // --- HashJoinOp --------------------------------------------------------------
 
 Status HashJoinOp::OpenImpl(exec::ExecContext* ctx) {
   table_.clear();
-  matches_ = nullptr;
-  match_pos_ = 0;
   uint64_t scanned = 0;
   KIMDB_RETURN_IF_ERROR(right_->ForEach([&](RecordId, const Tuple& rt) {
     ++scanned;
@@ -177,75 +189,44 @@ Status HashJoinOp::OpenImpl(exec::ExecContext* ctx) {
     ctx->Trace(Describe() + ": built " + std::to_string(table_.size()) +
                " buckets");
   }
-  return left_->Open(ctx);
-}
-
-Result<bool> HashJoinOp::NextImpl(exec::ExecContext* ctx, exec::Row* row) {
-  for (;;) {
-    if (matches_ != nullptr && match_pos_ < matches_->size()) {
-      Concat(left_row_, (*matches_)[match_pos_++], &row->tuple);
-      row->oid = kNilOid;
-      row->obj.reset();
-      return true;
-    }
-    matches_ = nullptr;
-    exec::Row left;
-    KIMDB_ASSIGN_OR_RETURN(bool ok, left_->Next(ctx, &left));
-    if (!ok) return false;
-    left_row_ = std::move(left.tuple);
-    const Value& key = left_row_[static_cast<size_t>(left_col_)];
-    if (key.is_null()) continue;
-    auto it = table_.find(KeyBytes(key));
-    if (it == table_.end()) continue;
-    matches_ = &it->second;
-    match_pos_ = 0;
-  }
+  return JoinOp::OpenImpl(ctx);
 }
 
 void HashJoinOp::CloseImpl(exec::ExecContext* ctx) {
-  left_->Close(ctx);
+  JoinOp::CloseImpl(ctx);
   table_.clear();
-  matches_ = nullptr;
-  match_pos_ = 0;
+}
+
+Status HashJoinOp::Probe(exec::ExecContext*, const Value& key,
+                         const std::vector<Tuple>** matches) {
+  *matches = nullptr;
+  if (key.is_null()) return Status::OK();
+  auto it = table_.find(KeyBytes(key));
+  if (it != table_.end()) *matches = &it->second;
+  return Status::OK();
 }
 
 // --- IndexJoinOp -------------------------------------------------------------
 
 Status IndexJoinOp::OpenImpl(exec::ExecContext* ctx) {
   ctx->used_index.store(true, std::memory_order_relaxed);
-  rids_.clear();
-  rid_pos_ = 0;
-  return left_->Open(ctx);
+  return JoinOp::OpenImpl(ctx);
 }
 
-Result<bool> IndexJoinOp::NextImpl(exec::ExecContext* ctx, exec::Row* row) {
-  for (;;) {
-    if (rid_pos_ < rids_.size()) {
-      KIMDB_ASSIGN_OR_RETURN(Tuple rt, right_->Get(rids_[rid_pos_++]));
-      ctx->objects_fetched.fetch_add(1, std::memory_order_relaxed);
-      Concat(left_row_, rt, &row->tuple);
-      row->oid = kNilOid;
-      row->obj.reset();
-      return true;
-    }
-    exec::Row left;
-    KIMDB_ASSIGN_OR_RETURN(bool ok, left_->Next(ctx, &left));
-    if (!ok) return false;
-    KIMDB_RETURN_IF_ERROR(ctx->CheckBudget());
-    left_row_ = std::move(left.tuple);
-    const Value& key = left_row_[static_cast<size_t>(left_col_)];
-    if (key.is_null()) continue;
-    ctx->index_probes.fetch_add(1, std::memory_order_relaxed);
-    rids_ = index_->LookupEq(key);
-    ctx->index_candidates.fetch_add(rids_.size(), std::memory_order_relaxed);
-    rid_pos_ = 0;
+Status IndexJoinOp::Probe(exec::ExecContext* ctx, const Value& key,
+                          const std::vector<Tuple>** matches) {
+  found_.clear();
+  *matches = &found_;
+  if (key.is_null()) return Status::OK();
+  ctx->index_probes.fetch_add(1, std::memory_order_relaxed);
+  std::vector<RecordId> rids = index_->LookupEq(key);
+  ctx->index_candidates.fetch_add(rids.size(), std::memory_order_relaxed);
+  for (const RecordId& rid : rids) {
+    KIMDB_ASSIGN_OR_RETURN(Tuple rt, right_->Get(rid));
+    found_.push_back(std::move(rt));
   }
-}
-
-void IndexJoinOp::CloseImpl(exec::ExecContext* ctx) {
-  left_->Close(ctx);
-  rids_.clear();
-  rid_pos_ = 0;
+  ctx->objects_fetched.fetch_add(rids.size(), std::memory_order_relaxed);
+  return Status::OK();
 }
 
 }  // namespace rel

@@ -76,9 +76,9 @@ struct FrameRef {
 /// Counters exposed so benchmarks can report physical behaviour
 /// (experiment E8 measures clustering through miss/IO counts). This is a
 /// plain snapshot struct; the pool keeps the live counters in atomics so
-/// concurrent readers (parallel scans, ExecContext deltas) never race
-/// writers. `misses` counts demand misses only; pages staged by ReadAhead
-/// appear in `readahead_issued` and `disk_reads` instead.
+/// concurrent readers (the server's worker pool, ExecContext deltas)
+/// never race writers. `misses` counts demand misses only; pages staged
+/// by ReadAhead appear in `readahead_issued` and `disk_reads` instead.
 struct BufferPoolStats {
   uint64_t hits = 0;
   uint64_t misses = 0;

@@ -368,27 +368,30 @@ TEST_F(ObsMetricsDbTest, ExplainAnalyzeRowsMatchQueryStats) {
   ASSERT_TRUE(oids.ok());
   ASSERT_EQ(oids->size(), 10u);
 
-  // Golden span assertions: the Filter emits exactly the result rows; the
-  // scan below it emits exactly the objects the stats counter saw.
+  // Golden span assertions on the fused tree production runs: the Filter
+  // emits exactly the result rows, and so does the scan below it, which
+  // applied the predicate in its page buffer. The scan's input shows as
+  // its scanned count, equal to the objects_scanned counter.
   const exec::Operator& filter = **root;
   EXPECT_EQ(filter.stats().rows, 10u);
-  // Batch protocol: loops counts NextBatch calls, so a 10-row result fits
-  // in a handful of batches -- loops is small but never zero.
+  // loops counts NextBatch calls, so a 10-row result fits in a handful
+  // of batches -- loops is small but never zero.
   EXPECT_GE(filter.stats().loops, 1u);
-  EXPECT_LE(filter.stats().loops,
-            filter.stats().rows + 2);  // row-at-a-time upper bound
+  EXPECT_LE(filter.stats().loops, 3u);
   ASSERT_EQ(filter.children().size(), 1u);
   const exec::Operator& scan = *filter.children()[0];
   QueryStats analyzed = StatsFromExecContext(ctx);
-  EXPECT_EQ(scan.stats().rows, analyzed.objects_scanned);
-  EXPECT_EQ(scan.stats().rows, static_cast<uint64_t>(kParts));
+  EXPECT_EQ(analyzed.objects_scanned, static_cast<uint64_t>(kParts));
+  EXPECT_EQ(scan.stats().rows, 10u);
+  EXPECT_EQ(scan.stats().objects_scanned, analyzed.objects_scanned);
   EXPECT_GT(filter.stats().time_ns, 0u);
 
   // The rendered form carries the same numbers.
   std::string rendered = exec::ExplainAnalyzeTree(**root);
   EXPECT_NE(rendered.find("Filter"), std::string::npos);
   EXPECT_NE(rendered.find("rows=10"), std::string::npos);
-  EXPECT_NE(rendered.find("rows=50"), std::string::npos);
+  EXPECT_NE(rendered.find("scanned=50"), std::string::npos);
+  EXPECT_EQ(rendered.find("rows=50"), std::string::npos);
 
   // And the OQL-level entry point executes + renders in one call.
   auto analyzed_text =

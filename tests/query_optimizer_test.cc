@@ -593,6 +593,10 @@ TEST_F(QueryOptimizerTest, OptimizerMetricsMove) {
 
 // --- batch execution --------------------------------------------------------
 
+// Every plan shape against the forced scan (an index-less engine) over a
+// hierarchy of 700 objects: Part's 467-object extent puts a 256-row batch
+// boundary inside a child extent, and the 350 candidates of a Key probe
+// put one inside an index candidate list.
 TEST_F(QueryOptimizerTest, BatchSizesAgreeAcrossBoundaries) {
   BuildHierarchy();
   ClassId part = *db_->FindClass("Part");
@@ -601,32 +605,36 @@ TEST_F(QueryOptimizerTest, BatchSizesAgreeAcrossBoundaries) {
           .ok());
   auto t = db_->Begin();
   ASSERT_TRUE(t.ok());
-  for (int i = 0; i < 259; ++i) {  // deliberately not a batch multiple
+  for (int i = 0; i < 700; ++i) {
     MustInsert(*t, i % 3 == 0 ? "SubPart" : "Part",
-               {{"Key", Value::Int(i % 40)}, {"Weight", Value::Int(i)}});
+               {{"Key", Value::Int(i % 2)}, {"Weight", Value::Int(i)}});
   }
   ASSERT_TRUE(db_->Commit(*t).ok());
 
-  // Scan+filter shape and index+residual-fetch shape, each at batch sizes
-  // 1 (row-at-a-time baseline), 3 (forces many short batches), 7, 256.
-  for (const char* oql :
-       {"select Part where Weight < 100",
-        "select Part where Key = 5 and Weight > 50", "select Part"}) {
-    auto q = db_->parser().ParseQuery(oql);
-    ASSERT_TRUE(q.ok()) << oql;
-    std::vector<std::vector<Oid>> results;
-    for (size_t batch : {size_t{1}, size_t{3}, size_t{7}, size_t{256}}) {
-      exec::ExecContext ctx(&db_->buffer_pool());
-      ctx.set_batch_size(batch);
-      auto rows = db_->query_engine().Execute(*q, &ctx);
-      ASSERT_TRUE(rows.ok()) << oql << " batch=" << batch;
-      std::sort(rows->begin(), rows->end());
-      results.push_back(std::move(*rows));
-    }
-    for (size_t i = 1; i < results.size(); ++i) {
-      EXPECT_EQ(results[i], results[0]) << oql;
-    }
-    EXPECT_FALSE(results[0].empty()) << oql;
+  QueryEngine scan_engine(&db_->store(), nullptr);
+  struct Shape {
+    const char* oql;
+    bool indexed;
+    size_t rows;
+  };
+  for (const Shape& shape : {
+           Shape{"select Part where Weight < 600", false, 600},  // scan+filter
+           Shape{"select Part where Key = 1 and Weight > 50", true, 325},
+           Shape{"select Part where Key = 0", true, 350},  // covered
+           Shape{"select Part", false, 700},               // unfiltered
+       }) {
+    auto q = db_->parser().ParseQuery(shape.oql);
+    ASSERT_TRUE(q.ok()) << shape.oql;
+    exec::ExecContext ictx(&db_->buffer_pool());
+    auto indexed = db_->query_engine().Execute(*q, &ictx);
+    exec::ExecContext sctx(&db_->buffer_pool());
+    auto scanned = scan_engine.Execute(*q, &sctx);
+    ASSERT_TRUE(indexed.ok() && scanned.ok()) << shape.oql;
+    EXPECT_EQ(ictx.used_index.load(), shape.indexed) << shape.oql;
+    std::sort(indexed->begin(), indexed->end());
+    std::sort(scanned->begin(), scanned->end());
+    EXPECT_EQ(*indexed, *scanned) << shape.oql;
+    EXPECT_EQ(indexed->size(), shape.rows) << shape.oql;
   }
 }
 
@@ -654,16 +662,13 @@ TEST_F(QueryOptimizerTest, BatchedSnapshotIgnoresConcurrentWriter) {
 
   auto q = db_->parser().ParseQuery("select Part where Key >= 0");
   ASSERT_TRUE(q.ok());
-  for (size_t batch : {size_t{1}, size_t{256}}) {
-    exec::ExecContext ctx(&db_->buffer_pool());
-    ctx.set_batch_size(batch);
-    ctx.set_snapshot(snap.read_ts());
-    auto rows = db_->query_engine().Execute(*q, &ctx);
-    ASSERT_TRUE(rows.ok()) << "batch=" << batch;
-    // The snapshot still sees all 100 original objects and none of the
-    // writer's 20, the delete included.
-    EXPECT_EQ(rows->size(), 100u) << "batch=" << batch;
-  }
+  exec::ExecContext ctx(&db_->buffer_pool());
+  ctx.set_snapshot(snap.read_ts());
+  auto rows = db_->query_engine().Execute(*q, &ctx);
+  ASSERT_TRUE(rows.ok());
+  // The snapshot still sees all 100 original objects and none of the
+  // writer's 20, the delete included.
+  EXPECT_EQ(rows->size(), 100u);
 
   // A current-time batched read sees the writer's world: 100 - 1 + 20.
   exec::ExecContext now_ctx(&db_->buffer_pool());
@@ -762,6 +767,59 @@ TEST_F(QueryOptimizerTest, E3NestedIndexPlanHoldsUnderSnapshotWithWriter) {
   SnapshotRun after = RunAt(snap, oql);
   EXPECT_EQ(after.indexed, r.indexed);
   EXPECT_EQ(after.indexed, after.scanned);
+}
+
+// The scope walk of a nested IndexScan spans several batches: 600
+// vehicles in scope, half of them made in Detroit, while a writer moves
+// the Detroit makers around. The walk re-checks the probe in the scan's
+// page buffer and must match the forced scan at every snapshot.
+TEST_F(QueryOptimizerTest, NestedIndexScopeWalkSpansBatches) {
+  BuildNested();
+  ClassId vehicle = *db_->FindClass("Vehicle");
+  ASSERT_TRUE(db_->indexes()
+                  .CreateIndex(IndexKind::kNested, vehicle,
+                               {"Manufacturer", "Location"})
+                  .ok());
+  auto t = db_->Begin();
+  ASSERT_TRUE(t.ok());
+  std::vector<Oid> companies;
+  for (int i = 0; i < 20; ++i) {
+    companies.push_back(MustInsert(
+        *t, "Company",
+        {{"Location", Value::Str(i < 10 ? "Detroit" : "Austin")}}));
+  }
+  for (int i = 0; i < 600; ++i) {
+    MustInsert(*t, "Vehicle",
+               {{"Weight", Value::Int(i)},
+                {"Manufacturer", Value::Ref(companies[i % 20])}});
+  }
+  ASSERT_TRUE(db_->Commit(*t).ok());
+
+  const char* oql = "select Vehicle where Manufacturer.Location = 'Detroit'";
+  Snapshot snap = db_->txns().mvcc()->AcquireSnapshot();
+  auto w = db_->Begin();
+  ASSERT_TRUE(w.ok());
+  ASSERT_TRUE(
+      db_->Set(*w, companies[0], "Location", Value::Str("Austin")).ok());
+  ASSERT_TRUE(
+      db_->Set(*w, companies[15], "Location", Value::Str("Detroit")).ok());
+
+  // A versioned path class sends the probe to the scope walk: the
+  // IndexScan reads all 600 vehicles itself, with no scan node below it.
+  SnapshotRun r = RunAt(snap, oql);
+  EXPECT_NE(r.tree.find("IndexScan("), std::string::npos) << r.tree;
+  EXPECT_EQ(r.tree.find("ExtentScan("), std::string::npos) << r.tree;
+  EXPECT_NE(r.tree.find("scanned=600"), std::string::npos) << r.tree;
+  EXPECT_EQ(r.indexed.size(), 300u);
+  EXPECT_EQ(r.indexed, r.scanned);
+
+  ASSERT_TRUE(db_->Commit(*w).ok());
+  EXPECT_EQ(RunAt(snap, oql).indexed, r.indexed);
+  Snapshot later = db_->txns().mvcc()->AcquireSnapshot();
+  SnapshotRun moved = RunAt(later, oql);
+  EXPECT_EQ(moved.indexed.size(), 300u);
+  EXPECT_NE(moved.indexed, r.indexed);
+  EXPECT_EQ(moved.indexed, moved.scanned);
 }
 
 // Two writers sharing a Company. W1 (left pending) re-points a vehicle
@@ -1055,7 +1113,6 @@ TEST_F(QueryOptimizerTest, BudgetCancelsMidBatch) {
   auto q = db_->parser().ParseQuery("select Part where Key >= 0");
   ASSERT_TRUE(q.ok());
   exec::ExecContext ctx(&db_->buffer_pool());
-  ctx.set_batch_size(256);
   ctx.set_budget(std::chrono::nanoseconds(0));
   auto rows = db_->query_engine().Execute(*q, &ctx);
   EXPECT_FALSE(rows.ok());
@@ -1064,7 +1121,6 @@ TEST_F(QueryOptimizerTest, BudgetCancelsMidBatch) {
 
   // Cancellation mid-stream behaves the same.
   exec::ExecContext ctx2(&db_->buffer_pool());
-  ctx2.set_batch_size(256);
   ctx2.Cancel();
   auto rows2 = db_->query_engine().Execute(*q, &ctx2);
   EXPECT_FALSE(rows2.ok());

@@ -352,10 +352,9 @@ struct SnapEnv {
 
   /// Runs `q` at `read_ts` through the index path and the forced-scan
   /// path; returns an empty string if both agree, else a diagnosis.
-  std::string Compare(const Query& q, uint64_t read_ts, size_t batch) {
+  std::string Compare(const Query& q, uint64_t read_ts) {
     exec::ExecContext ictx(&bp);
     ictx.set_snapshot(read_ts);
-    ictx.set_batch_size(batch);
     auto with_index = indexed_engine->Execute(q, &ictx);
     exec::ExecContext sctx(&bp);
     sctx.set_snapshot(read_ts);
@@ -365,9 +364,9 @@ struct SnapEnv {
     std::sort(with_index->begin(), with_index->end());
     std::sort(with_scan->begin(), with_scan->end());
     if (*with_index == *with_scan) return "";
-    return "read_ts " + std::to_string(read_ts) + " batch " +
-           std::to_string(batch) + ": " + q.predicate->ToString() +
-           " index=" + std::to_string(with_index->size()) +
+    return "read_ts " + std::to_string(read_ts) + ": " +
+           q.predicate->ToString() + " index=" +
+           std::to_string(with_index->size()) +
            " scan=" + std::to_string(with_scan->size());
   }
 
@@ -490,8 +489,7 @@ uint64_t RunSnapshotInterleaving(SnapEnv& env, uint64_t seed, int steps,
         probes.push_back(env.RandomProbe(rng));
       }
       for (const Query& q : probes) {
-        std::string diff =
-            env.Compare(q, snap.read_ts(), rng.OneIn(2) ? 1 : 64);
+        std::string diff = env.Compare(q, snap.read_ts());
         ASSERT_EQ(diff, "") << "seed " << seed << " step " << step << " "
                             << when;
       }
@@ -602,7 +600,7 @@ TEST_P(SnapshotIndexPropertyTest, DeferredEntriesDrainAfterLastSnapshot) {
   Random rng(GetParam());
   Snapshot now = env.txns->AcquireSnapshot();
   for (int probe = 0; probe < 20; ++probe) {
-    EXPECT_EQ(env.Compare(env.RandomProbe(rng), now.read_ts(), 64), "");
+    EXPECT_EQ(env.Compare(env.RandomProbe(rng), now.read_ts()), "");
   }
 }
 
@@ -664,8 +662,7 @@ TEST(SnapshotIndexConcurrencyTest, TwoWritersTwoSnapshotReaders) {
     while (writers_left.load() > 0) {
       Snapshot snap = env.txns->AcquireSnapshot();
       for (int probe = 0; probe < 3; ++probe) {
-        std::string diff = env.Compare(env.RandomProbe(rng), snap.read_ts(),
-                                       rng.OneIn(2) ? 1 : 64);
+        std::string diff = env.Compare(env.RandomProbe(rng), snap.read_ts());
         comparisons.fetch_add(1);
         if (!diff.empty()) {
           std::lock_guard<std::mutex> lock(failures_mu);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "rel/query_ops.h"
 #include "rel/relation.h"
@@ -151,6 +154,88 @@ TEST_F(RelationTest, JoinsAgree) {
   EXPECT_EQ(nl.size(), 40u);  // every vehicle joins exactly one company
   EXPECT_EQ(nl, hash);
   EXPECT_EQ(nl, indexed);
+}
+
+// 300 left rows with 3 right matches each: the joins emit 900 pairs, so
+// batch boundaries fall inside one left row's matches and the left side
+// spans two batches of its own.
+TEST_F(RelationTest, JoinsAgreeAcrossBatchBoundaries) {
+  auto companies = MakeCompanies();
+  auto vehicles = MakeVehicles();
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(companies
+                    ->Insert({Value::Int(i % 10),
+                              Value::Str("c" + std::to_string(i)),
+                              Value::Str("Detroit")})
+                    .ok());
+  }
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(
+        vehicles->Insert({Value::Int(i), Value::Int(i), Value::Int(i % 10)})
+            .ok());
+  }
+  using Pair = std::pair<int64_t, std::string>;
+  auto run = [&](auto&& join_fn) {
+    std::multiset<Pair> pairs;
+    exec::ExecContext ctx;
+    Status st = join_fn(
+        [&](const Tuple& v, const Tuple& c) {
+          EXPECT_EQ(v[2].as_int(), c[0].as_int());
+          pairs.insert({v[0].as_int(), c[1].as_string()});
+          return Status::OK();
+        },
+        &ctx);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    return pairs;
+  };
+  auto nl = run([&](const rel::JoinConsumer& fn, exec::ExecContext* ctx) {
+    return rel::NestedLoopJoin(*vehicles, *companies, "company_id", "id", fn,
+                               ctx);
+  });
+  auto hash = run([&](const rel::JoinConsumer& fn, exec::ExecContext* ctx) {
+    return rel::HashJoin(*vehicles, *companies, "company_id", "id", fn, ctx);
+  });
+  ASSERT_TRUE(companies->CreateIndex("id").ok());
+  auto indexed = run([&](const rel::JoinConsumer& fn, exec::ExecContext* ctx) {
+    return rel::IndexJoin(*vehicles, *companies, "company_id", "id", fn, ctx);
+  });
+  EXPECT_EQ(nl.size(), 900u);
+  EXPECT_EQ(std::set<Pair>(nl.begin(), nl.end()).size(), 900u);
+  EXPECT_EQ(nl, hash);
+  EXPECT_EQ(nl, indexed);
+}
+
+TEST_F(RelationTest, ZeroBudgetStopsSelectAndJoin) {
+  auto companies = MakeCompanies();
+  auto vehicles = MakeVehicles();
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(companies
+                    ->Insert({Value::Int(i), Value::Str("c"),
+                              Value::Str("Detroit")})
+                    .ok());
+    ASSERT_TRUE(
+        vehicles->Insert({Value::Int(i), Value::Int(i), Value::Int(i)}).ok());
+  }
+  int emitted = 0;
+  exec::ExecContext ctx;
+  ctx.set_budget(std::chrono::nanoseconds(0));
+  Status st = rel::Select(
+      *companies, [](const Tuple&) { return true; },
+      [&](const Tuple&) {
+        ++emitted;
+        return Status::OK();
+      },
+      &ctx);
+  EXPECT_TRUE(st.IsDeadlineExceeded()) << st.ToString();
+  st = rel::HashJoin(
+      *vehicles, *companies, "company_id", "id",
+      [&](const Tuple&, const Tuple&) {
+        ++emitted;
+        return Status::OK();
+      },
+      &ctx);
+  EXPECT_TRUE(st.IsDeadlineExceeded()) << st.ToString();
+  EXPECT_EQ(emitted, 0);
 }
 
 TEST_F(RelationTest, IndexJoinRequiresIndex) {
