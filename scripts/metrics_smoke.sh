@@ -55,7 +55,7 @@ required = [
     # Wire-protocol front-end (the quickstart serves one query + a ping
     # over a real socket before the first snapshot).
     "net.connections", "net.accepted", "net.requests",
-    "net.bytes_in", "net.bytes_out", "net.protocol_errors",
+    "net.bytes_in", "net.bytes_out", "net.flushes", "net.protocol_errors",
     "net.pipeline_depth", "net.request_ns",
 ]
 for name in required:

@@ -28,6 +28,11 @@ Status SetNonBlocking(int fd) {
   return Status::OK();
 }
 
+// A worker sends at the latest after this many unflushed responses, so a
+// long run of pipelined GETs still streams out instead of leaving the
+// client idle until the whole batch has executed.
+constexpr size_t kFlushEvery = 16;
+
 Response ErrorResponse(MsgType type, const Status& st) {
   Response resp;
   resp.type = type;
@@ -106,6 +111,7 @@ Result<std::unique_ptr<Server>> Server::Start(Database* db,
   srv->requests_ = m.GetCounter("net.requests");
   srv->bytes_in_ = m.GetCounter("net.bytes_in");
   srv->bytes_out_ = m.GetCounter("net.bytes_out");
+  srv->flushes_ = m.GetCounter("net.flushes");
   srv->protocol_errors_ = m.GetCounter("net.protocol_errors");
   srv->pipeline_depth_ = m.GetHistogram("net.pipeline_depth");
   srv->request_ns_ = m.GetHistogram("net.request_ns");
@@ -227,8 +233,8 @@ void Server::IoLoop() {
         uint64_t drainv;
         while (::read(wake_fd_, &drainv, sizeof(drainv)) > 0) {
         }
-        // Workers finished slots (or Stop was requested): harvest every
-        // connection with completed work and resume paused readers.
+        // A worker asked for a resume or a close (or Stop was requested):
+        // flush or close every connection and resume paused readers.
         std::vector<std::shared_ptr<Conn>> snapshot;
         {
           std::lock_guard<std::mutex> lk(conns_mu_);
@@ -399,44 +405,47 @@ void Server::ParseFrames(const std::shared_ptr<Conn>& conn) {
   }
 }
 
-bool Server::HarvestLocked(Conn* conn) {
-  bool any = false;
+bool Server::FlushLocked(Conn* conn) {
+  if (conn->closed) return false;
   while (!conn->slots.empty() && conn->slots.front()->done) {
     conn->outbuf.append(conn->slots.front()->bytes);
     conn->slots.pop_front();
-    any = true;
   }
-  return any;
+  size_t sent = 0;
+  while (!conn->send_failed && conn->outpos < conn->outbuf.size()) {
+    ssize_t n = ::send(conn->fd, conn->outbuf.data() + conn->outpos,
+                       conn->outbuf.size() - conn->outpos, MSG_NOSIGNAL);
+    if (n > 0) {
+      conn->outpos += static_cast<size_t>(n);
+      sent += static_cast<size_t>(n);
+      continue;
+    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      conn->want_write = true;
+      break;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    conn->send_failed = true;  // peer vanished mid-flush
+  }
+  if (sent > 0) {
+    bytes_out_->Inc(sent);
+    flushes_->Inc();
+  }
+  if (conn->outpos == conn->outbuf.size()) {
+    conn->outbuf.clear();
+    conn->outpos = 0;
+    conn->want_write = false;
+  }
+  return conn->send_failed ||
+         (conn->close_after_flush && conn->slots.empty() &&
+          conn->outbuf.empty());
 }
 
 void Server::HandleWritable(const std::shared_ptr<Conn>& conn) {
-  bool close_now = false;
+  bool close_now;
   {
     std::lock_guard<std::mutex> lk(conn->mu);
-    if (conn->closed) return;
-    HarvestLocked(conn.get());
-    while (conn->outpos < conn->outbuf.size()) {
-      ssize_t n = ::send(conn->fd, conn->outbuf.data() + conn->outpos,
-                         conn->outbuf.size() - conn->outpos, MSG_NOSIGNAL);
-      if (n > 0) {
-        bytes_out_->Inc(static_cast<uint64_t>(n));
-        conn->outpos += static_cast<size_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        conn->want_write = true;
-        break;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      close_now = true;  // peer vanished mid-flush
-      break;
-    }
-    if (conn->outpos == conn->outbuf.size()) {
-      conn->outbuf.clear();
-      conn->outpos = 0;
-      conn->want_write = false;
-      if (conn->close_after_flush && conn->slots.empty()) close_now = true;
-    }
+    close_now = FlushLocked(conn.get());
   }
   if (close_now) CloseConn(conn);
 }
@@ -477,6 +486,7 @@ void Server::WorkerLoop() {
     }
     // Drain this connection's queue serially: pipelined operations on the
     // same transaction must not race each other across workers.
+    size_t unflushed = 0;
     while (true) {
       Slot* slot = nullptr;
       bool skip = false;
@@ -500,12 +510,26 @@ void Server::WorkerLoop() {
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - slot->t0)
               .count()));
+      bool wake = false;
       {
         std::lock_guard<std::mutex> lk(conn->mu);
         slot->bytes = std::move(bytes);
         slot->done = true;
+        // This worker sends the connection's responses itself, in arrival
+        // order. It holds one back only while the next request is a GET
+        // (fast) and fewer than kFlushEvery are waiting; a response never
+        // waits behind a COMMIT's fdatasync or a long query. The queue's
+        // last response always flushes (the queue is empty then).
+        if (++unflushed >= kFlushEvery || conn->exec_queue.empty() ||
+            conn->exec_queue.front()->req.type != MsgType::kGet) {
+          unflushed = 0;
+          wake = FlushLocked(conn.get());
+        }
+        // Closing and resuming a paused reader are the I/O thread's jobs.
+        wake = wake || (conn->paused && !conn->closed &&
+                        conn->slots.size() <= opts_.max_pipeline / 2);
       }
-      Wake();  // the I/O thread harvests + flushes in arrival order
+      if (wake) Wake();
     }
   }
 }

@@ -51,10 +51,19 @@ struct ServerOptions {
 ///
 /// Pipelining: the I/O thread parses as many frames per connection as the
 /// client sent, queueing one response slot per request in arrival order.
-/// Workers complete slots out of order; the contiguous prefix of finished
-/// slots is flushed, so responses always leave in request order and
-/// concurrent commits from different connections land in the WAL group
-/// commit together.
+/// One worker at a time drains a connection's queue, serially, and sends
+/// that connection's finished responses itself, coalesced (FlushLocked):
+/// it flushes when the queue runs empty, when the next request is not a
+/// GET (so no response waits behind a COMMIT's fdatasync or a long query),
+/// or every kFlushEvery responses. Responses always leave in request
+/// order, and concurrent commits from different connections land in the
+/// WAL group commit together.
+///
+/// The I/O thread owns accept, recv, epoll and close. The eventfd wakes it
+/// only for its own jobs: a flush that hit EAGAIN continues on the
+/// socket's EPOLLOUT edge, and a worker calls Wake() when a paused reader
+/// may resume, when a connection is ready to close, or after a hard send
+/// error. Stop() wakes it too.
 ///
 /// Stop() (and the SIGINT path of `kimdb_server`) drains: the listening
 /// socket closes first, reads stop, every already-parsed request runs to
@@ -88,7 +97,8 @@ class Server {
 
  private:
   /// One response slot of a pipelined connection: filled by a worker,
-  /// harvested in arrival order by the I/O thread.
+  /// harvested in arrival order by FlushLocked on whichever thread flushes
+  /// (the draining worker, or the I/O thread).
   struct Slot {
     Request req;
     std::string bytes;  // encoded response frame
@@ -105,6 +115,7 @@ class Server {
     std::string outbuf;                       // under mu
     size_t outpos = 0;                        // consumed prefix of outbuf
     bool want_write = false;     // outbuf stalled on EAGAIN
+    bool send_failed = false;    // a send failed hard; the I/O thread closes
     bool close_after_flush = false;
     bool read_eof = false;       // peer half-closed or drain mode
     bool paused = false;         // backpressure: at max_pipeline
@@ -129,9 +140,13 @@ class Server {
   /// Parses every complete frame buffered on `conn` into slots + work
   /// items (stops at the pipeline cap).
   void ParseFrames(const std::shared_ptr<Conn>& conn);
-  /// Moves the contiguous done-prefix of `conn`'s slots into its outbuf.
-  /// Returns true when bytes were appended. Caller holds conn->mu.
-  bool HarvestLocked(Conn* conn);
+  /// The one send path, run by the worker that drained `conn` and by the
+  /// I/O thread: moves the contiguous done-prefix of `conn`'s slots into
+  /// its outbuf, then sends until the outbuf is empty or the socket would
+  /// block (want_write: the I/O thread's EPOLLOUT edge continues). Returns
+  /// true when the I/O thread should close `conn`: a send failed hard, or
+  /// close_after_flush is set and nothing is owed. Caller holds conn->mu.
+  bool FlushLocked(Conn* conn);
   void CloseConn(const std::shared_ptr<Conn>& conn);
   /// Executes one request against the database (worker thread).
   Response Execute(const std::shared_ptr<Conn>& conn, const Request& req);
@@ -160,7 +175,6 @@ class Server {
   std::unordered_map<int, std::shared_ptr<Conn>> conns_;
 
   std::atomic<bool> stopping_{false};
-  std::atomic<bool> io_done_{false};
   std::once_flag stop_once_;
 
   // net.* metrics (registered on the Database's registry at Start).
@@ -169,6 +183,7 @@ class Server {
   obs::Counter* requests_ = nullptr;
   obs::Counter* bytes_in_ = nullptr;
   obs::Counter* bytes_out_ = nullptr;
+  obs::Counter* flushes_ = nullptr;  // FlushLocked calls that sent bytes
   obs::Counter* protocol_errors_ = nullptr;
   obs::Histogram* pipeline_depth_ = nullptr;
   obs::Histogram* request_ns_ = nullptr;

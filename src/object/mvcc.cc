@@ -6,8 +6,7 @@ namespace kimdb {
 
 void Snapshot::Release() {
   if (table_ == nullptr) return;
-  MvccTable* t = table_;
-  table_ = nullptr;
+  std::shared_ptr<MvccTable> t = std::move(table_);
   t->ReleaseSnapshot(read_ts_, epoch_);
   read_ts_ = 0;
 }
@@ -58,7 +57,7 @@ Snapshot MvccTable::AcquireSnapshot() {
   live_.insert(ts);
   live_epochs_.insert(abort_epoch_);
   snapshots_acquired_.fetch_add(1, std::memory_order_relaxed);
-  return Snapshot(this, ts, abort_epoch_);
+  return Snapshot(shared_from_this(), ts, abort_epoch_);
 }
 
 void MvccTable::ReleaseSnapshot(uint64_t read_ts, uint64_t epoch) {

@@ -22,23 +22,25 @@ class MvccTable;
 /// version with commit-ts > read_ts' predecessor against pruning, so a
 /// reader carrying it sees one transaction-consistent state of the store
 /// no matter how long it lives (the paper's long-duration transaction,
-/// §3.3). Move-only; releasing (or destroying) it retires the pin.
+/// §3.3). Move-only; releasing (or destroying) it retires the pin. It
+/// shares ownership of its table, so a long-lived holder (a checked-out
+/// PrivateDb) may outlive the database whose table it pins.
 class Snapshot {
  public:
   Snapshot() = default;
   ~Snapshot() { Release(); }
   Snapshot(Snapshot&& other) noexcept
-      : table_(other.table_), read_ts_(other.read_ts_), epoch_(other.epoch_) {
-    other.table_ = nullptr;
+      : table_(std::move(other.table_)),
+        read_ts_(other.read_ts_),
+        epoch_(other.epoch_) {
     other.read_ts_ = 0;
   }
   Snapshot& operator=(Snapshot&& other) noexcept {
     if (this != &other) {
       Release();
-      table_ = other.table_;
+      table_ = std::move(other.table_);
       read_ts_ = other.read_ts_;
       epoch_ = other.epoch_;
-      other.table_ = nullptr;
       other.read_ts_ = 0;
     }
     return *this;
@@ -54,9 +56,10 @@ class Snapshot {
 
  private:
   friend class MvccTable;
-  Snapshot(MvccTable* table, uint64_t read_ts, uint64_t epoch)
-      : table_(table), read_ts_(read_ts), epoch_(epoch) {}
-  MvccTable* table_ = nullptr;
+  Snapshot(std::shared_ptr<MvccTable> table, uint64_t read_ts,
+           uint64_t epoch)
+      : table_(std::move(table)), read_ts_(read_ts), epoch_(epoch) {}
+  std::shared_ptr<MvccTable> table_;
   uint64_t read_ts_ = 0;
   uint64_t epoch_ = 0;  // abort epoch at acquisition (MvccTable::Discard)
 };
@@ -108,7 +111,9 @@ enum class MvccLookup {
 /// Thread safety: fully internally synchronized (sharded chain mutexes,
 /// a registry mutex for snapshots, a commit mutex serializing timestamp
 /// allocation with WAL commit-record append order).
-class MvccTable {
+///
+/// Always owned by a shared_ptr (TxnManager's): every Snapshot shares it.
+class MvccTable : public std::enable_shared_from_this<MvccTable> {
  public:
   MvccTable() = default;
   MvccTable(const MvccTable&) = delete;
@@ -267,7 +272,8 @@ class MvccTable {
   /// removals those writes caused, DESIGN.md §13). Prune runs under the
   /// caller's locks -- a class write latch on the CommitDirect path -- so
   /// the hook must not block on locks held across store reads. Set once,
-  /// before concurrent use.
+  /// before concurrent use; the owning TxnManager clears it on destruction,
+  /// because a snapshot that outlives it still prunes on release.
   using PruneHook = std::function<void(const std::vector<Oid>& erased)>;
   void SetPruneHook(PruneHook hook) { prune_hook_ = std::move(hook); }
 

@@ -50,11 +50,14 @@ class TxnManager {
   /// mutators stage version chains. Detached stores (private databases)
   /// simply never get a table attached and keep pure 2PL behavior.
   TxnManager(ObjectStore* store, LockManager* locks)
-      : store_(store), locks_(locks), mvcc_(std::make_unique<MvccTable>()) {
+      : store_(store), locks_(locks), mvcc_(std::make_shared<MvccTable>()) {
     store_->AttachMvcc(mvcc_.get());
   }
   ~TxnManager() {
     if (store_ != nullptr) store_->AttachMvcc(nullptr);
+    // A snapshot still pinned elsewhere keeps the table alive; its release
+    // must not call into an owner that is gone.
+    mvcc_->SetPruneHook(nullptr);
   }
 
   TxnManager(const TxnManager&) = delete;
@@ -160,7 +163,7 @@ class TxnManager {
 
   ObjectStore* store_;
   LockManager* locks_;
-  std::unique_ptr<MvccTable> mvcc_;
+  std::shared_ptr<MvccTable> mvcc_;  // shared with every live Snapshot
   mutable std::mutex mu_;
   uint64_t next_txn_ = 1;
   std::unordered_map<uint64_t, TxnState> active_;

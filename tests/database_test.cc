@@ -261,6 +261,32 @@ TEST_F(DatabaseTest, CheckedOutObjectNotWritableInPlace) {
   ASSERT_TRUE(db_->Commit(*t2).ok());
 }
 
+TEST_F(DatabaseTest, CheckedOutPrivateDbOutlivesDatabase) {
+  BuildVehicleSchema();
+  auto t = db_->Begin();
+  Oid v = MustInsert(*t, "Vehicle", {{"Weight", Value::Int(1)}});
+  Oid w = MustInsert(*t, "Vehicle", {{"Weight", Value::Int(2)}});
+  ASSERT_TRUE(db_->Commit(*t).ok());
+
+  auto priv = PrivateDb::Create("alice", &db_->catalog());
+  ASSERT_TRUE(priv.ok());
+  auto t2 = db_->Begin();
+  ASSERT_TRUE(db_->checkout().Checkout(*t2, priv->get(), v).ok());
+  ASSERT_TRUE(db_->Commit(*t2).ok());
+  ASSERT_TRUE((*priv)->has_pinned_snapshot());
+  // A commit after the checkout leaves a version chain that only the
+  // private database's snapshot keeps alive, so its release prunes.
+  auto t3 = db_->Begin();
+  ASSERT_TRUE(db_->Set(*t3, w, "Weight", Value::Int(3)).ok());
+  ASSERT_TRUE(db_->Commit(*t3).ok());
+
+  // The shared database goes first; the workspace's snapshot still owns
+  // the version table it releases into (run under KIMDB_SANITIZE=address).
+  db_.reset();
+  ASSERT_TRUE((*priv)->has_pinned_snapshot());
+  priv->reset();
+}
+
 TEST_F(DatabaseTest, InMemoryDatabaseWorks) {
   DatabaseOptions opts;
   opts.in_memory = true;

@@ -157,9 +157,8 @@ TEST_F(IntegrationTest, CheckoutMarkSurvivesCrash) {
   auto t2 = db_->Begin();
   ASSERT_TRUE(db_->checkout().Checkout(*t2, priv->get(), *doc).ok());
   ASSERT_TRUE(db_->Commit(*t2).ok());
-  // Crash: the private (volatile) db dies with the process -- before the
-  // shared database, whose MVCC table its pinned snapshot points into --
-  // and the mark survives.
+  // Crash: the private (volatile) db dies with the process, and the mark
+  // survives.
   priv->reset();
   Reopen();
 

@@ -1,10 +1,13 @@
 // Wire protocol + epoll server tests: framing round-trips, torn/partial
-// I/O, oversized-frame and garbage rejection, pipelining order, concurrent
-// multi-connection commits with visibility, drain-on-shutdown durability,
-// and disconnect-aborts-transactions. The whole file runs under TSan via
-// scripts/tsan_ctest.sh.
+// I/O, oversized-frame and garbage rejection, pipelining order, the
+// pipeline window's pause/resume, a slow reader's EAGAIN continuation,
+// half-close, concurrent multi-connection commits with visibility,
+// drain-on-shutdown durability, and disconnect-aborts-transactions. The
+// whole file runs under TSan via scripts/tsan_ctest.sh.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
 #include <algorithm>
 #include <chrono>
@@ -264,6 +267,43 @@ class NetServerTest : public ::testing::Test {
     return oids;
   }
 
+  // Fails a hung read after 10 s instead of blocking the test forever.
+  static void SetReceiveTimeout(Client* client) {
+    timeval tv{};
+    tv.tv_sec = 10;
+    ASSERT_EQ(::setsockopt(client->fd(), SOL_SOCKET, SO_RCVTIMEO, &tv,
+                           sizeof(tv)),
+              0);
+  }
+
+  // `n` GET frames back to back, cycling over `oids`.
+  static std::string GetBurst(const std::vector<uint64_t>& oids, int n) {
+    std::string burst;
+    for (int i = 0; i < n; ++i) {
+      Request get;
+      get.type = MsgType::kGet;
+      get.oid = oids[i % oids.size()];
+      EncodeRequest(get, &burst);
+    }
+    return burst;
+  }
+
+  // Reads `n` responses to GetBurst(oids, n) and checks each names the OID
+  // its request asked for, in request order.
+  static void ExpectGetsInOrder(Client* client,
+                                const std::vector<uint64_t>& oids, int n) {
+    for (int i = 0; i < n; ++i) {
+      auto resp = client->ReceiveResponse();
+      ASSERT_TRUE(resp.ok()) << "response " << i << ": "
+                             << resp.status().ToString();
+      ASSERT_EQ(resp->type, MsgType::kGet) << "response " << i;
+      ASSERT_EQ(resp->status, StatusCode::kOk) << resp->message;
+      auto obj = Object::Decode(resp->object_bytes);
+      ASSERT_TRUE(obj.ok()) << "response " << i;
+      ASSERT_EQ(obj->oid().raw(), oids[i % oids.size()]) << "response " << i;
+    }
+  }
+
   uint64_t CounterValue(const std::string& name) {
     return db_->metrics().GetCounter(name)->value();
   }
@@ -432,6 +472,75 @@ TEST_F(NetServerTest, PipelinedResponsesArriveInRequestOrder) {
   EXPECT_NE(db_->MetricsJson().find("net.pipeline_depth"), std::string::npos);
 }
 
+TEST_F(NetServerTest, PipelineBeyondWindowResumes) {
+  OpenAndServe(ServerOptions{.max_pipeline = 8});
+  std::vector<uint64_t> oids = SeedParts(10);
+  auto client = MustConnect();
+  ASSERT_NE(client, nullptr);
+  SetReceiveTimeout(client.get());
+
+  // 200 GETs in one write against an 8-request window: the server stops
+  // reading at 8 unanswered requests and must resume every time half the
+  // window has drained, or the tail of the burst is never answered.
+  ASSERT_TRUE(client->SendRaw(GetBurst(oids, 200)).ok());
+  ExpectGetsInOrder(client.get(), oids, 200);
+}
+
+TEST_F(NetServerTest, SlowReaderGetsEveryResponseInOrder) {
+  auto cls = db_->CreateClass(
+      "Blob", {}, {{"Key", Domain::Int()}, {"Body", Domain::String()}});
+  ASSERT_TRUE(cls.ok()) << cls.status().ToString();
+  std::vector<uint64_t> oids;
+  auto txn = db_->Begin();
+  ASSERT_TRUE(txn.ok());
+  for (int i = 0; i < 4; ++i) {
+    auto oid = db_->Insert(*txn, "Blob",
+                           {{"Key", Value::Int(i)},
+                            {"Body", Value::Str(std::string(4096, 'a' + i))}});
+    ASSERT_TRUE(oid.ok()) << oid.status().ToString();
+    oids.push_back(oid->raw());
+  }
+  ASSERT_TRUE(db_->Commit(*txn).ok());
+
+  auto client = MustConnect();
+  ASSERT_NE(client, nullptr);
+  SetReceiveTimeout(client.get());
+  // A small receive buffer keeps the ~8 MiB of responses far beyond what
+  // the loopback connection holds, so the server's sends hit EAGAIN and
+  // the rest must leave on the socket's EPOLLOUT edges.
+  int rcvbuf = 64 * 1024;
+  ASSERT_EQ(::setsockopt(client->fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                         sizeof(rcvbuf)),
+            0);
+  constexpr int kGets = 2000;
+  ASSERT_TRUE(client->SendRaw(GetBurst(oids, kGets)).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  ExpectGetsInOrder(client.get(), oids, kGets);
+}
+
+TEST_F(NetServerTest, HalfCloseFlushesThenCloses) {
+  std::vector<uint64_t> oids = SeedParts(5);
+  auto client = MustConnect();
+  ASSERT_NE(client, nullptr);
+  SetReceiveTimeout(client.get());
+
+  // The peer sends 50 GETs and half-closes: every request already sent is
+  // answered, in order, and only then does the server close its side.
+  ASSERT_TRUE(client->SendRaw(GetBurst(oids, 50)).ok());
+  ASSERT_EQ(::shutdown(client->fd(), SHUT_WR), 0);
+  ExpectGetsInOrder(client.get(), oids, 50);
+  auto eof = client->ReceiveResponse();
+  EXPECT_FALSE(eof.ok());
+
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server_->open_connections() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server_->open_connections(), 0u);
+}
+
 TEST_F(NetServerTest, ConcurrentConnectionsCommitAndStayVisible) {
   constexpr int kConns = 8;
   constexpr int kCommitsEach = 12;
@@ -591,6 +700,9 @@ TEST_F(NetServerTest, NetMetricsAccumulate) {
   EXPECT_GE(CounterValue("net.requests"), req_before + 2);
   EXPECT_GT(CounterValue("net.bytes_in"), 0u);
   EXPECT_GT(CounterValue("net.bytes_out"), 0u);
+  // Every flush that sent bytes carried at least one new response here.
+  EXPECT_GT(CounterValue("net.flushes"), 0u);
+  EXPECT_LE(CounterValue("net.flushes"), CounterValue("net.requests"));
   EXPECT_GE(CounterValue("net.accepted"), 1u);
   EXPECT_GE(db_->metrics().GetGauge("net.connections")->value(), 1);
 }
