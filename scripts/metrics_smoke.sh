@@ -33,6 +33,7 @@ required = [
     "bufferpool.disk_reads", "bufferpool.disk_writes",
     "bufferpool.readahead_issued", "bufferpool.readahead_hits",
     "bufferpool.shard_lock_waits", "bufferpool.shard_wait_ns",
+    "storage.heap.relocations", "storage.heap.pages_linked",
     "lock.acquired", "lock.waits", "lock.deadlocks", "lock.wait_ns",
     "txn.begun", "txn.committed", "txn.aborted",
     "txn.commit_ns", "txn.abort_ns",

@@ -220,6 +220,12 @@ void Database::WireMetrics() {
   bp->AttachMetrics(m.GetHistogram("bufferpool.shard_wait_ns"));
 
   ObjectStore* store = store_.get();
+  m.RegisterCollector("storage.heap.relocations", [store] {
+    return store->heap_stats().relocations.load(std::memory_order_relaxed);
+  });
+  m.RegisterCollector("storage.heap.pages_linked", [store] {
+    return store->heap_stats().pages_linked.load(std::memory_order_relaxed);
+  });
   m.RegisterCollector("objectstore.cache_hits", [store] {
     return store->object_cache().stats().hits;
   });

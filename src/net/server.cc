@@ -242,20 +242,7 @@ void Server::IoLoop() {
         }
         for (auto& c : snapshot) {
           HandleWritable(c);
-          bool resume = false;
-          {
-            std::lock_guard<std::mutex> lk(c->mu);
-            if (c->paused && c->slots.size() <= opts_.max_pipeline / 2) {
-              c->paused = false;
-              resume = true;
-            }
-          }
-          if (resume) {
-            // The edge that delivered those bytes has passed; parse the
-            // backlog and re-read explicitly.
-            ParseFrames(c);
-            HandleReadable(c);
-          }
+          ResumeIfDrained(c);
         }
         continue;
       }
@@ -275,7 +262,12 @@ void Server::IoLoop() {
         continue;
       }
       if (mask & (EPOLLIN | EPOLLRDHUP)) HandleReadable(conn);
-      if (mask & EPOLLOUT) HandleWritable(conn);
+      if (mask & EPOLLOUT) {
+        // Sending frees window slots (FlushLocked harvests only what the
+        // socket took), which may be what a paused reader waits for.
+        HandleWritable(conn);
+        ResumeIfDrained(conn);
+      }
     }
   }
 
@@ -407,12 +399,21 @@ void Server::ParseFrames(const std::shared_ptr<Conn>& conn) {
 
 bool Server::FlushLocked(Conn* conn) {
   if (conn->closed) return false;
-  while (!conn->slots.empty() && conn->slots.front()->done) {
-    conn->outbuf.append(conn->slots.front()->bytes);
-    conn->slots.pop_front();
-  }
   size_t sent = 0;
-  while (!conn->send_failed && conn->outpos < conn->outbuf.size()) {
+  while (!conn->send_failed) {
+    if (conn->outpos == conn->outbuf.size()) {
+      // Harvest only into an empty outbuf: a finished response stays in
+      // `slots`, inside the max_pipeline window, until the socket takes
+      // the bytes ahead of it, so a client that never reads stops being
+      // read instead of growing the outbuf without bound.
+      conn->outbuf.clear();
+      conn->outpos = 0;
+      while (!conn->slots.empty() && conn->slots.front()->done) {
+        conn->outbuf.append(conn->slots.front()->bytes);
+        conn->slots.pop_front();
+      }
+      if (conn->outbuf.empty()) break;
+    }
     ssize_t n = ::send(conn->fd, conn->outbuf.data() + conn->outpos,
                        conn->outbuf.size() - conn->outpos, MSG_NOSIGNAL);
     if (n > 0) {
@@ -420,10 +421,7 @@ bool Server::FlushLocked(Conn* conn) {
       sent += static_cast<size_t>(n);
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      conn->want_write = true;
-      break;
-    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     if (n < 0 && errno == EINTR) continue;
     conn->send_failed = true;  // peer vanished mid-flush
   }
@@ -431,14 +429,9 @@ bool Server::FlushLocked(Conn* conn) {
     bytes_out_->Inc(sent);
     flushes_->Inc();
   }
-  if (conn->outpos == conn->outbuf.size()) {
-    conn->outbuf.clear();
-    conn->outpos = 0;
-    conn->want_write = false;
-  }
   return conn->send_failed ||
          (conn->close_after_flush && conn->slots.empty() &&
-          conn->outbuf.empty());
+          conn->outpos == conn->outbuf.size());
 }
 
 void Server::HandleWritable(const std::shared_ptr<Conn>& conn) {
@@ -448,6 +441,21 @@ void Server::HandleWritable(const std::shared_ptr<Conn>& conn) {
     close_now = FlushLocked(conn.get());
   }
   if (close_now) CloseConn(conn);
+}
+
+void Server::ResumeIfDrained(const std::shared_ptr<Conn>& conn) {
+  {
+    std::lock_guard<std::mutex> lk(conn->mu);
+    if (!conn->paused || conn->closed ||
+        conn->slots.size() > opts_.max_pipeline / 2) {
+      return;
+    }
+    conn->paused = false;
+  }
+  // The edge that delivered the unread bytes has passed; parse the
+  // backlog and re-read explicitly.
+  ParseFrames(conn);
+  HandleReadable(conn);
 }
 
 void Server::CloseConn(const std::shared_ptr<Conn>& conn) {

@@ -114,7 +114,6 @@ class Server {
     std::deque<std::unique_ptr<Slot>> slots;  // arrival order, under mu
     std::string outbuf;                       // under mu
     size_t outpos = 0;                        // consumed prefix of outbuf
-    bool want_write = false;     // outbuf stalled on EAGAIN
     bool send_failed = false;    // a send failed hard; the I/O thread closes
     bool close_after_flush = false;
     bool read_eof = false;       // peer half-closed or drain mode
@@ -141,12 +140,17 @@ class Server {
   /// items (stops at the pipeline cap).
   void ParseFrames(const std::shared_ptr<Conn>& conn);
   /// The one send path, run by the worker that drained `conn` and by the
-  /// I/O thread: moves the contiguous done-prefix of `conn`'s slots into
-  /// its outbuf, then sends until the outbuf is empty or the socket would
-  /// block (want_write: the I/O thread's EPOLLOUT edge continues). Returns
+  /// I/O thread: whenever the outbuf is empty, moves the contiguous
+  /// done-prefix of `conn`'s slots into it, and sends until nothing done
+  /// is left or the socket would block (the I/O thread's EPOLLOUT edge
+  /// continues). Slots behind unsent bytes stay in `slots`, so the
+  /// max_pipeline window bounds what a non-reading client costs. Returns
   /// true when the I/O thread should close `conn`: a send failed hard, or
   /// close_after_flush is set and nothing is owed. Caller holds conn->mu.
   bool FlushLocked(Conn* conn);
+  /// Un-pauses `conn`'s reader once half its window has drained, then
+  /// parses the backlog and reads on (I/O thread).
+  void ResumeIfDrained(const std::shared_ptr<Conn>& conn);
   void CloseConn(const std::shared_ptr<Conn>& conn);
   /// Executes one request against the database (worker thread).
   Response Execute(const std::shared_ptr<Conn>& conn, const Request& req);

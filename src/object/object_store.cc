@@ -1,6 +1,7 @@
 #include "object/object_store.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace kimdb {
 
@@ -145,16 +146,28 @@ Result<std::unique_ptr<ObjectStore>> ObjectStore::Open(
   // per-class serial high-water marks from the extents that exist.
   for (ClassId cls : catalog->AllClasses()) {
     KIMDB_RETURN_IF_ERROR(store->EnsureExtent(cls));
-    KIMDB_ASSIGN_OR_RETURN(HeapFile * heap, store->ExtentOf(cls));
     uint64_t max_serial = 0;
-    Status st = heap->ForEach([&](RecordId rid, std::string_view bytes) {
+    // A relocation moves a record between two pages that reach disk
+    // independently, so a crash can leave both copies. Keep the one met
+    // last: recovery replays the (logged, post-checkpoint) relocating
+    // operation onto it, and the other copy is deleted.
+    std::vector<RecordId> ghosts;
+    Status st = store->OpenExtent(cls, [&](RecordId rid,
+                                           std::string_view bytes) {
       Result<Object> obj = Object::Decode(bytes);
       if (!obj.ok()) return obj.status();
-      store->DirectoryPut(obj->oid(), rid);
+      RecordId displaced = store->DirectoryPut(obj->oid(), rid);
+      if (displaced.valid()) ghosts.push_back(displaced);
       max_serial = std::max(max_serial, obj->oid().serial());
       return Status::OK();
     });
     KIMDB_RETURN_IF_ERROR(st);
+    if (!ghosts.empty()) {
+      KIMDB_ASSIGN_OR_RETURN(HeapFile * heap, store->ExtentOf(cls));
+      for (const RecordId& ghost : ghosts) {
+        KIMDB_RETURN_IF_ERROR(heap->Delete(ghost));
+      }
+    }
     KIMDB_ASSIGN_OR_RETURN(ClassDef * def, catalog->GetClassMutable(cls));
     def->next_serial = std::max(def->next_serial, max_serial + 1);
   }
@@ -174,7 +187,7 @@ Status ObjectStore::EnsureExtent(ClassId cls) {
   std::lock_guard<std::mutex> lock(extents_mu_);
   KIMDB_ASSIGN_OR_RETURN(PageId head, ExtentHeadOfLocked(cls));
   if (head != kInvalidPageId) return Status::OK();
-  KIMDB_ASSIGN_OR_RETURN(HeapFile heap, HeapFile::Create(bp_));
+  KIMDB_ASSIGN_OR_RETURN(HeapFile heap, HeapFile::Create(bp_, &heap_stats_));
   if (attach_to_catalog_) {
     KIMDB_ASSIGN_OR_RETURN(ClassDef * def, catalog_->GetClassMutable(cls));
     def->extent_head = heap.head();
@@ -193,8 +206,20 @@ Result<HeapFile*> ObjectStore::ExtentOf(ClassId cls) const {
   if (head == kInvalidPageId) {
     return Status::FailedPrecondition("class has no extent (EnsureExtent)");
   }
-  KIMDB_ASSIGN_OR_RETURN(HeapFile heap, HeapFile::Open(bp_, head));
+  KIMDB_ASSIGN_OR_RETURN(HeapFile heap,
+                         HeapFile::Open(bp_, head, {}, &heap_stats_));
   return &extents_.emplace(cls, std::move(heap)).first->second;
+}
+
+Status ObjectStore::OpenExtent(ClassId cls,
+                               const HeapFile::RecordVisitor& visit) {
+  std::lock_guard<std::mutex> lock(extents_mu_);
+  if (extents_.count(cls) > 0) return Status::OK();
+  KIMDB_ASSIGN_OR_RETURN(PageId head, ExtentHeadOfLocked(cls));
+  KIMDB_ASSIGN_OR_RETURN(HeapFile heap,
+                         HeapFile::Open(bp_, head, visit, &heap_stats_));
+  extents_.emplace(cls, std::move(heap));
+  return Status::OK();
 }
 
 Status ObjectStore::ValidateContents(ClassId cls,
@@ -224,12 +249,15 @@ Result<RecordId> ObjectStore::DirectoryGet(Oid oid) const {
   return it->second;
 }
 
-void ObjectStore::DirectoryPut(Oid oid, RecordId rid) {
+RecordId ObjectStore::DirectoryPut(Oid oid, RecordId rid) {
   DirShard& sh = DirShardFor(oid);
   std::lock_guard<std::mutex> lock(sh.mu);
-  auto [it, inserted] = sh.map.insert_or_assign(oid, rid);
-  (void)it;
-  if (inserted) ++sh.class_counts[oid.class_id()];
+  auto [it, inserted] = sh.map.try_emplace(oid, rid);
+  if (inserted) {
+    ++sh.class_counts[oid.class_id()];
+    return RecordId{};
+  }
+  return std::exchange(it->second, rid);
 }
 
 void ObjectStore::DirectoryErase(Oid oid) {

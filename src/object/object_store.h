@@ -223,6 +223,9 @@ class ObjectStore {
   /// The deserialized-object cache (counters for tests / the obs layer).
   const ObjectCache& object_cache() const { return cache_; }
 
+  /// Record-placement counters of every extent (storage.heap.*).
+  const HeapFileStats& heap_stats() const { return heap_stats_; }
+
   /// Retargets the object-cache byte budget at runtime (shell
   /// `.set cache_bytes N`; experiment E8).
   void ResizeObjectCache(size_t bytes) { cache_.Resize(bytes); }
@@ -357,6 +360,11 @@ class ObjectStore {
   /// Extent-head lookup; caller holds extents_mu_.
   Result<PageId> ExtentHeadOfLocked(ClassId cls) const;
 
+  /// Opens the existing extent of `cls` (no-op for one EnsureExtent just
+  /// created), handing every record to `visit` in the same chain walk
+  /// that rebuilds the heap's free-space map.
+  Status OpenExtent(ClassId cls, const HeapFile::RecordVisitor& visit);
+
   /// Resolves (lazily opening) the heap file of `cls`. Internally
   /// synchronized by extents_mu_ (a leaf lock); the returned pointer is
   /// node-stable for the store's lifetime.
@@ -364,7 +372,9 @@ class ObjectStore {
 
   /// Directory lookup (internally takes the OID's shard mutex).
   Result<RecordId> DirectoryGet(Oid oid) const;
-  void DirectoryPut(Oid oid, RecordId rid);
+  /// Maps `oid` to `rid`; returns the RecordId it replaced (invalid when
+  /// the OID is new).
+  RecordId DirectoryPut(Oid oid, RecordId rid);
   void DirectoryErase(Oid oid);
 
   /// Stored-image read; caller holds the class latch of `oid` (either
@@ -413,6 +423,8 @@ class ObjectStore {
   // Extent heads for detached (private) stores.
   std::unordered_map<ClassId, PageId> local_extent_heads_;
   mutable std::unordered_map<ClassId, HeapFile> extents_;
+  /// Shared by every extent; atomics, bumped under each class's latch.
+  mutable HeapFileStats heap_stats_;
 
   /// Object directory, sharded by OID hash under leaf mutexes so writers
   /// of distinct classes never contend on one map. Mutators touch it

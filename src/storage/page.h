@@ -84,6 +84,13 @@ class SlottedPage {
   /// Total bytes reclaimable by Compact().
   size_t FragmentedBytes() const;
 
+  /// Bytes a new record and its slot entry may use once the page is
+  /// compacted (the free-space map's per-page value).
+  size_t ReclaimableSpace() const { return FreeSpace() + FragmentedBytes(); }
+
+  /// Slot-array bytes per record.
+  static constexpr size_t kSlotSize = 4;
+
  private:
   static constexpr size_t kLsnOff = 0;
   static constexpr size_t kNextOff = 8;

@@ -275,6 +275,9 @@ TEST_P(ObjectCacheStressTest, ReadersNeverSeeStaleOrTornImages) {
   }
 
   std::atomic<bool> stop{false};
+  // Writers start only after every reader has warmed the cache, so the
+  // coverage checks at the end hold by construction, not by timing.
+  std::atomic<int> readers_warm{0};
   std::atomic<int> stale_reads{0};
   std::atomic<int> torn_reads{0};
   std::atomic<int> hard_errors{0};
@@ -283,6 +286,9 @@ TEST_P(ObjectCacheStressTest, ReadersNeverSeeStaleOrTornImages) {
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
+      while (readers_warm.load(std::memory_order_acquire) < kReaders) {
+        std::this_thread::yield();
+      }
       Random rng(500 + static_cast<uint64_t>(w));
       // Private churn object: deleted and re-inserted to exercise
       // Delete/Insert invalidation without cross-thread OID handoff.
@@ -338,6 +344,20 @@ TEST_P(ObjectCacheStressTest, ReadersNeverSeeStaleOrTornImages) {
           }
         }
       };
+      // Read every slot twice before the writers start: the first read
+      // fills the cache, the second hits it, and each slot is resident
+      // when its first update invalidates it.
+      for (int pass = 0; pass < 2; ++pass) {
+        for (int i = 0; i < kSlots; ++i) {
+          auto obj = store.Get(slots[i]);
+          if (obj.ok()) {
+            check(*obj);
+          } else {
+            ++hard_errors;
+          }
+        }
+      }
+      readers_warm.fetch_add(1, std::memory_order_release);
       while (!stop.load(std::memory_order_acquire)) {
         int slot = static_cast<int>(rng.Uniform(kSlots));
         auto obj = store.Get(slots[slot]);

@@ -23,7 +23,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -190,6 +192,47 @@ class CrashRecoveryTest : public ::testing::Test {
     return Status::OK();
   }
 
+  // Records that outgrow their pages after a checkpoint. Four pages of
+  // equal-size records are flushed and the log truncated; then every third
+  // record grows to ~1 KiB, which its page cannot keep: each growth is a
+  // relocation, the first one links a fresh page into the middle of the
+  // chain, and the reads in between push pages through the small pool, so
+  // pages reach disk in every order. Every object committed before the
+  // checkpoint lives only in the heap pages.
+  Status RunRelocationWorkload(Model* model) {
+    std::vector<Oid> oids;
+    KIMDB_ASSIGN_OR_RETURN(uint64_t t, txns_->Begin());
+    Model added;
+    for (int i = 0; i < 48; ++i) {
+      Object obj;
+      char nm[8];
+      std::snprintf(nm, sizeof(nm), "p%03d", i);
+      obj.Set(name_, Value::Str(nm));
+      obj.Set(pad_, Value::Str(std::string(300, 'p')));
+      KIMDB_ASSIGN_OR_RETURN(Oid oid, txns_->Insert(t, part_, obj));
+      oids.push_back(oid);
+      added[oid.raw()] = nm;
+    }
+    KIMDB_RETURN_IF_ERROR(txns_->Commit(t));
+    model->insert(added.begin(), added.end());
+    KIMDB_RETURN_IF_ERROR(bp_->FlushAll());
+    KIMDB_RETURN_IF_ERROR(wal_->Truncate());
+    for (size_t i = 0; i < oids.size(); i += 3) {
+      KIMDB_ASSIGN_OR_RETURN(uint64_t t2, txns_->Begin());
+      std::string nm = "g" + std::to_string(i);
+      KIMDB_RETURN_IF_ERROR(
+          txns_->SetAttr(t2, oids[i], "Name", Value::Str(nm)));
+      KIMDB_RETURN_IF_ERROR(txns_->SetAttr(
+          t2, oids[i], "Pad", Value::Str(std::string(900, 'g'))));
+      KIMDB_RETURN_IF_ERROR(txns_->Commit(t2));
+      (*model)[oids[i].raw()] = nm;
+      for (size_t j = 0; j < oids.size(); j += 7) {
+        KIMDB_RETURN_IF_ERROR(store_->Get(oids[j]).status());
+      }
+    }
+    return Status::OK();
+  }
+
   // The durability invariants, checked against the acknowledged model.
   void VerifyModel(const Model& model) {
     Model actual;
@@ -217,9 +260,11 @@ class CrashRecoveryTest : public ::testing::Test {
     }
   }
 
-  // One matrix cell: run the workload with a fault armed at the `fire_at`th
-  // I/O of `op`, crash, reopen, recover, verify, recover again, verify.
-  void RunOne(FaultOp op, FaultMode mode, uint64_t fire_at) {
+  // One matrix cell: run `workload` (default RunWorkload) with a fault
+  // armed at the `fire_at`th I/O of `op`, crash, reopen, recover, verify,
+  // recover again, verify.
+  void RunOne(FaultOp op, FaultMode mode, uint64_t fire_at,
+              const std::function<Status(Model*)>& workload = {}) {
     SCOPED_TRACE("crash at " + std::to_string(static_cast<int>(op)) + "/" +
                  std::to_string(static_cast<int>(mode)) + " #" +
                  std::to_string(fire_at));
@@ -228,7 +273,7 @@ class CrashRecoveryTest : public ::testing::Test {
     fi.Arm(op, mode, fire_at, /*torn_seed=*/static_cast<uint32_t>(fire_at));
     Model model;
     Status st = OpenStack(&fi);
-    if (st.ok()) st = RunWorkload(&model);
+    if (st.ok()) st = workload ? workload(&model) : RunWorkload(&model);
     // Either the fault surfaced as an error (the common case) or the armed
     // point was never reached (workload completed).
     CloseAll();
@@ -401,6 +446,28 @@ TEST_F(CrashRecoveryTest, MatrixEveryPageWriteFailStop) {
   for (uint64_t i = 1; i <= writes; i += MatrixStride()) {
     RunOne(FaultOp::kPageWrite, FaultMode::kFail, i);
     if (HasFatalFailure()) return;
+  }
+}
+
+// Crash at every page write of a checkpoint followed by relocations. Two
+// ways to lose the checkpoint's objects are pinned: a fresh page linked
+// mid-chain must reach disk before its anchor (else the chain ends at a
+// zeroed page and hides the pages behind it), and a record whose new copy
+// reached disk before its old page's delete must come back once, not
+// twice (the duplicate is dropped at open).
+TEST_F(CrashRecoveryTest, MatrixCheckpointThenRelocationsEveryPageWrite) {
+  FreshFiles();
+  FaultInjector fi;  // disarmed: pure I/O counter
+  Model golden;
+  ASSERT_TRUE(OpenStack(&fi).ok());
+  ASSERT_TRUE(RunRelocationWorkload(&golden).ok());
+  EXPECT_GE(store_->heap_stats().relocations.load(), 10u);
+  EXPECT_GE(store_->heap_stats().pages_linked.load(), 1u);
+  const uint64_t writes = fi.ops(FaultOp::kPageWrite);
+  CloseAll();
+  for (uint64_t i = 1; i <= writes; i += MatrixStride()) {
+    RunOne(FaultOp::kPageWrite, FaultMode::kFail, i,
+           [this](Model* m) { return RunRelocationWorkload(m); });
   }
 }
 

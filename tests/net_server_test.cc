@@ -519,6 +519,50 @@ TEST_F(NetServerTest, SlowReaderGetsEveryResponseInOrder) {
   ExpectGetsInOrder(client.get(), oids, kGets);
 }
 
+TEST_F(NetServerTest, NonReadingClientStopsNearTheWindow) {
+  constexpr size_t kWindow = 8;
+  OpenAndServe(ServerOptions{.max_pipeline = kWindow});
+  auto cls = db_->CreateClass(
+      "Blob", {}, {{"Key", Domain::Int()}, {"Body", Domain::String()}});
+  ASSERT_TRUE(cls.ok()) << cls.status().ToString();
+  auto txn = db_->Begin();
+  ASSERT_TRUE(txn.ok());
+  auto oid = db_->Insert(*txn, "Blob",
+                         {{"Key", Value::Int(0)},
+                          {"Body", Value::Str(std::string(32 * 1024, 'b'))}});
+  ASSERT_TRUE(oid.ok()) << oid.status().ToString();
+  ASSERT_TRUE(db_->Commit(*txn).ok());
+
+  auto client = MustConnect();
+  ASSERT_NE(client, nullptr);
+  int rcvbuf = 16 * 1024;
+  ASSERT_EQ(::setsockopt(client->fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                         sizeof(rcvbuf)),
+            0);
+  const uint64_t before = CounterValue("net.requests");
+  constexpr uint64_t kGets = 2000;
+  // The requests (~13 bytes each) fit in the socket buffers, but the send
+  // runs on its own thread in case they do not: the server stops reading.
+  std::thread writer([&] {
+    (void)client->SendRaw(GetBurst({oid->raw()}, static_cast<int>(kGets)));
+  });
+  // Wait until the server stops taking requests.
+  uint64_t served = 0;
+  for (int stable = 0; stable < 20;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    uint64_t now = CounterValue("net.requests") - before;
+    stable = now == served ? stable + 1 : 0;
+    served = now;
+  }
+  // The client never reads. What the server took is what the kernel's
+  // socket buffers hold (a few MiB: ~100 of these 32 KiB responses) plus
+  // about two windows (the parked slots and one harvested output buffer).
+  // Before, every request was parsed, executed and buffered.
+  EXPECT_LT(served, kGets / 4);
+  ::shutdown(client->fd(), SHUT_RDWR);
+  writer.join();
+}
+
 TEST_F(NetServerTest, HalfCloseFlushesThenCloses) {
   std::vector<uint64_t> oids = SeedParts(5);
   auto client = MustConnect();

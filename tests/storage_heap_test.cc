@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -193,6 +194,186 @@ TEST_F(HeapFileTest, OpenExistingHeapSeesData) {
                        return Status::OK();
                      }).ok());
   EXPECT_EQ(n, 1);
+}
+
+// Records per page for `len`-byte inline records: payload + 1-byte tag +
+// 4-byte slot entry, against the page minus its 16-byte header.
+size_t RecordsPerPage(size_t len) { return (kPageSize - 16) / (len + 5); }
+
+size_t CountRecords(const HeapFile& heap) {
+  size_t n = 0;
+  EXPECT_TRUE(heap.ForEach([&](RecordId, std::string_view) {
+                    ++n;
+                    return Status::OK();
+                  }).ok());
+  return n;
+}
+
+TEST_F(HeapFileTest, GrowingUpdatesOnOnePageLinkFewPages) {
+  HeapFileStats stats;
+  Result<HeapFile> h = HeapFile::Create(&bp_, &stats);
+  ASSERT_TRUE(h.ok());
+  HeapFile heap = *h;
+  // Fill the head page with small records, then grow every one of them:
+  // the page keeps only a few, the rest must move.
+  std::vector<RecordId> rids;
+  const std::string small(30, 's');
+  while (true) {
+    auto r = heap.Insert(small);
+    ASSERT_TRUE(r.ok());
+    if (r->page_id != heap.head()) break;
+    rids.push_back(*r);
+  }
+  ASSERT_EQ(stats.pages_linked.load(), 1u);  // the insert that broke out
+  const size_t n = rids.size();
+  const std::string big(200, 'b');
+  for (RecordId& rid : rids) {
+    auto moved = heap.Update(rid, big);
+    ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+    rid = *moved;
+  }
+  for (const RecordId& rid : rids) EXPECT_EQ(*heap.Get(rid), big);
+  // Relocations fill the pages that have room: O(n / records-per-page)
+  // pages, not one page per moved record.
+  const size_t per_page = RecordsPerPage(big.size());
+  EXPECT_GT(stats.relocations.load(), n / 2);
+  EXPECT_LE(stats.pages_linked.load(), n / per_page + 2)
+      << n << " growing updates, " << stats.relocations.load()
+      << " relocations";
+  EXPECT_LE(*heap.CountPages(), n / per_page + 3);
+  EXPECT_EQ(CountRecords(heap), n + 1);
+}
+
+TEST_F(HeapFileTest, ReopenRebuildsFreeSpaceFromPageHeaders) {
+  PageId head;
+  RecordId middle{};
+  size_t pages_before = 0;
+  const std::string rec(900, 'r');
+  {
+    HeapFile heap = MakeHeap();
+    head = heap.head();
+    for (int i = 0; i < 12; ++i) {  // 4 per page: three full pages
+      auto r = heap.Insert(rec);
+      ASSERT_TRUE(r.ok());
+      if (i == 5) middle = *r;
+    }
+    pages_before = *heap.CountPages();
+    ASSERT_EQ(pages_before, 3u);
+    ASSERT_NE(middle.page_id, head);
+    ASSERT_TRUE(heap.Delete(middle).ok());
+  }
+  ASSERT_TRUE(bp_.FlushAll().ok());
+  // A fresh handle knows nothing but what the walk in Open reads: the
+  // middle page's hole must be found without linking a page.
+  Result<HeapFile> reopened = HeapFile::Open(&bp_, head);
+  ASSERT_TRUE(reopened.ok());
+  auto r = reopened->Insert(rec);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->page_id, middle.page_id);
+  EXPECT_EQ(*reopened->CountPages(), pages_before);
+}
+
+TEST(HeapFileLinkOrderTest, FreshPageReachesDiskBeforeItsLink) {
+  auto disk = DiskManager::OpenInMemory();
+  PageId head;
+  const std::string rec(900, 'r');  // 4 per page
+  {
+    BufferPool bp(disk.get(), 16);
+    Result<HeapFile> h = HeapFile::Create(&bp);
+    ASSERT_TRUE(h.ok());
+    head = h->head();
+    for (int i = 0; i < 12; ++i) ASSERT_TRUE(h->Insert(rec).ok());
+    ASSERT_EQ(*h->CountPages(), 3u);
+    ASSERT_TRUE(bp.FlushAll().ok());
+    // Every page is full: the hinted insert links a fresh page right
+    // after the head, in the middle of the chain.
+    auto hinted = h->Insert(rec, head);
+    ASSERT_TRUE(hinted.ok());
+    ASSERT_NE(hinted->page_id, head);
+    // Eviction writes the head (now pointing at the fresh page), and the
+    // process dies before the fresh page's own write-back: the pool is
+    // dropped without a flush.
+    ASSERT_TRUE(bp.FlushPage(head).ok());
+  }
+  BufferPool bp(disk.get(), 16);
+  Result<HeapFile> reopened = HeapFile::Open(&bp, head);
+  ASSERT_TRUE(reopened.ok());
+  // The fresh page was written, linked to the head's old successor, before
+  // the head pointed at it: every record flushed before the crash is still
+  // reachable (only the unflushed 13th is gone, as the WAL would redo it).
+  EXPECT_EQ(CountRecords(*reopened), 12u);
+  EXPECT_EQ(*reopened->CountPages(), 4u);
+}
+
+TEST(HeapFileLinkOrderTest, OverflowChainReachesDiskBeforeItsStub) {
+  auto disk = DiskManager::OpenInMemory();
+  PageId head;
+  const std::string huge(3 * kPageSize, 'h');  // a four-segment chain
+  {
+    BufferPool bp(disk.get(), 16);
+    Result<HeapFile> h = HeapFile::Create(&bp);
+    ASSERT_TRUE(h.ok());
+    head = h->head();
+    ASSERT_TRUE(h->Insert("small").ok());
+    ASSERT_TRUE(bp.FlushAll().ok());
+    ASSERT_TRUE(h->Insert(huge).ok());
+    // Eviction writes the page holding the stub; the crash loses every
+    // page still only in the pool.
+    ASSERT_TRUE(bp.FlushPage(head).ok());
+  }
+  BufferPool bp(disk.get(), 16);
+  std::vector<std::string> seen;
+  Result<HeapFile> reopened =
+      HeapFile::Open(&bp, head, [&](RecordId, std::string_view r) {
+        seen.emplace_back(r);
+        return Status::OK();
+      });
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0], "small");
+  EXPECT_EQ(seen[1], huge);
+}
+
+// FindNearest agrees with a brute-force scan over random maps.
+TEST(FreeSpaceMapTest, FindNearestMatchesBruteForce) {
+  Random rng(7);
+  for (int round = 0; round < 20; ++round) {
+    FreeSpaceMap map;
+    std::map<PageId, uint16_t> shadow;
+    const int ops = 1 + static_cast<int>(rng.Uniform(300));
+    for (int i = 0; i < ops; ++i) {
+      // Mostly appends (fresh pages take the highest id), some inserts in
+      // the middle and updates of existing pages.
+      PageId pid = rng.OneIn(4) ? static_cast<PageId>(rng.Uniform(1000))
+                                : static_cast<PageId>(1000 + i * 3);
+      uint16_t avail = static_cast<uint16_t>(rng.Uniform(4081));
+      map.Set(pid, avail);
+      shadow[pid] = avail;
+    }
+    ASSERT_EQ(map.size(), shadow.size());
+    EXPECT_EQ(map.Last(), shadow.rbegin()->first);
+    for (int q = 0; q < 200; ++q) {
+      PageId near = rng.OneIn(10) ? kInvalidPageId
+                                  : static_cast<PageId>(rng.Uniform(2000));
+      size_t need = 1 + rng.Uniform(4100);
+      PageId want = kInvalidPageId;
+      uint64_t best = UINT64_MAX;
+      for (const auto& [pid, avail] : shadow) {
+        if (avail < need) continue;
+        uint64_t d = pid >= near ? pid - near : near - pid;
+        // Ties go to the higher id, as FindNearest documents.
+        if (d < best || (d == best && pid > want)) {
+          best = d;
+          want = pid;
+        }
+      }
+      ASSERT_EQ(map.FindNearest(near, need), want)
+          << "near " << near << " need " << need;
+    }
+  }
+  FreeSpaceMap empty;
+  EXPECT_EQ(empty.FindNearest(5, 1), kInvalidPageId);
+  EXPECT_EQ(empty.Last(), kInvalidPageId);
 }
 
 class HeapChurnTest : public ::testing::TestWithParam<uint64_t> {};
