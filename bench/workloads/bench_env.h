@@ -21,9 +21,10 @@ struct Env {
   std::unique_ptr<Catalog> catalog;
   std::unique_ptr<ObjectStore> store;
 
-  /// KIMDB_OBJECT_CACHE_BYTES overrides the object-cache budget for any
-  /// benchmark binary (experiment E8 sweeps it without recompiling);
-  /// callers that pass an explicit `object_cache_bytes` still win.
+  /// KIMDB_OBJECT_CACHE_BYTES overrides the object-cache budget of every
+  /// benchmark that keeps the default, so a budget can be swept without
+  /// recompiling; callers that pass an explicit `object_cache_bytes` (E4's
+  /// cache-off runs, E8) still win.
   static size_t CacheBytesFromEnv(size_t fallback) {
     const char* env = std::getenv("KIMDB_OBJECT_CACHE_BYTES");
     if (env == nullptr || *env == '\0') return fallback;

@@ -6,36 +6,27 @@
 namespace kimdb {
 
 void Posting::Add(Oid oid) {
-  auto& v = by_class[oid.class_id()];
-  // Postings are kept sorted for deterministic output and fast removal.
-  auto it = std::lower_bound(v.begin(), v.end(), oid);
-  if (it == v.end() || *it != oid) v.insert(it, oid);
+  auto it = std::lower_bound(oids.begin(), oids.end(), oid);
+  if (it == oids.end() || *it != oid) oids.insert(it, oid);
 }
 
 bool Posting::Remove(Oid oid) {
-  auto cit = by_class.find(oid.class_id());
-  if (cit == by_class.end()) return false;
-  auto& v = cit->second;
-  auto it = std::lower_bound(v.begin(), v.end(), oid);
-  if (it == v.end() || *it != oid) return false;
-  v.erase(it);
-  if (v.empty()) by_class.erase(cit);
+  auto it = std::lower_bound(oids.begin(), oids.end(), oid);
+  if (it == oids.end() || *it != oid) return false;
+  oids.erase(it);
   return true;
 }
 
-void Posting::CollectInto(const std::vector<ClassId>* classes,
+void Posting::CollectInto(const std::vector<ClassId>& classes,
                           std::vector<Oid>* out) const {
-  if (classes == nullptr) {
-    for (const auto& [cls, oids] : by_class) {
-      out->insert(out->end(), oids.begin(), oids.end());
-    }
-    return;
-  }
-  for (ClassId cls : *classes) {
-    auto it = by_class.find(cls);
-    if (it != by_class.end()) {
-      out->insert(out->end(), it->second.begin(), it->second.end());
-    }
+  for (ClassId cls : classes) {
+    // The subrange ends at the first OID of a larger class. Searching for
+    // Oid::Make(cls + 1, 0) instead would wrap to 0 for the largest class.
+    auto lo = std::partition_point(oids.begin(), oids.end(),
+                                   [cls](Oid o) { return o.class_id() < cls; });
+    auto hi = std::partition_point(
+        lo, oids.end(), [cls](Oid o) { return o.class_id() == cls; });
+    out->insert(out->end(), lo, hi);
   }
 }
 

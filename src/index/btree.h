@@ -2,7 +2,6 @@
 #define KIMDB_INDEX_BTREE_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -14,26 +13,25 @@
 
 namespace kimdb {
 
-/// The payload of one index key: OID lists *partitioned by class*. This is
-/// the KIM89b class-hierarchy index structure -- a single B+-tree covers a
-/// whole class hierarchy, and a query scoped to any class in the hierarchy
-/// filters the posting by its subtree without touching other entries.
+/// The payload of one index key: its OIDs as one sorted run. An OID carries
+/// its class in the top 24 bits, so the run is partitioned by class -- each
+/// class is one contiguous subrange. This is the KIM89b class-hierarchy
+/// index structure: a single B+-tree covers a whole class hierarchy, and a
+/// query scoped to any class in the hierarchy binary-searches the subranges
+/// of its subtree without touching other entries.
 struct Posting {
-  std::map<ClassId, std::vector<Oid>> by_class;
+  std::vector<Oid> oids;  // sorted, no duplicates
 
-  size_t size() const {
-    size_t n = 0;
-    for (const auto& [cls, oids] : by_class) n += oids.size();
-    return n;
-  }
-  bool empty() const { return by_class.empty(); }
+  size_t size() const { return oids.size(); }
+  bool empty() const { return oids.empty(); }
 
   void Add(Oid oid);
   /// Returns true if the oid was present.
   bool Remove(Oid oid);
 
-  /// Appends the OIDs of the given classes (nullptr = all classes).
-  void CollectInto(const std::vector<ClassId>* classes,
+  /// Appends the OIDs of the given classes, class by class in the given
+  /// order.
+  void CollectInto(const std::vector<ClassId>& classes,
                    std::vector<Oid>* out) const;
 };
 

@@ -7,11 +7,6 @@
 
 namespace kimdb {
 
-bool IndexInfo::CoversTargetClass(ClassId cls) const {
-  const auto& l0 = level_classes[0];
-  return std::find(l0.begin(), l0.end(), cls) != l0.end();
-}
-
 Result<IndexId> IndexManager::CreateIndex(IndexKind kind, ClassId target_class,
                                           std::vector<std::string> path) {
   if (path.empty()) return Status::InvalidArgument("empty index path");
@@ -63,10 +58,19 @@ Result<IndexId> IndexManager::CreateIndex(IndexKind kind, ClassId target_class,
   }
   info->rev.resize(info->path.size() > 0 ? info->path.size() - 1 : 0);
 
-  // Initial build: first the backward chains (levels 0..n-2), then the
-  // keys of every target.
+  // Initial build: one walk of the targets adds their keys, derived from
+  // the materialized image the walk hands over, and their level-0 backward
+  // chains; the deeper levels' chains need walks of their own.
   IndexInfo* raw = info.get();
-  for (size_t level = 0; level + 1 < raw->path.size(); ++level) {
+  const bool nested = raw->path.size() > 1;
+  for (ClassId cls : raw->level_classes[0]) {
+    KIMDB_RETURN_IF_ERROR(store_->ForEachInClass(cls, [&](const Object& obj) {
+      if (nested) AddRevEdges(raw, 0, obj);
+      RefreshTarget(raw, obj.oid(), obj.oid(), DeriveKeys(*raw, obj));
+      return Status::OK();
+    }));
+  }
+  for (size_t level = 1; level + 1 < raw->path.size(); ++level) {
     for (ClassId cls : raw->level_classes[level]) {
       KIMDB_RETURN_IF_ERROR(
           store_->ForEachInClass(cls, [&](const Object& obj) {
@@ -74,12 +78,6 @@ Result<IndexId> IndexManager::CreateIndex(IndexKind kind, ClassId target_class,
             return Status::OK();
           }));
     }
-  }
-  for (ClassId cls : raw->level_classes[0]) {
-    KIMDB_RETURN_IF_ERROR(store_->ForEachInClass(cls, [&](const Object& obj) {
-      RefreshTarget(raw, obj.oid(), obj.oid());
-      return Status::OK();
-    }));
   }
 
   // Publication is the only step needing the writer lock: the build above
@@ -236,7 +234,7 @@ Status IndexManager::LookupEq(const IndexInfo& info, const Value& key,
   const Posting* p = info.tree.Find(key);
   if (p == nullptr) return Status::OK();
   std::vector<ClassId> scope = ScopeClasses(scope_class, hierarchy);
-  p->CollectInto(&scope, out);
+  p->CollectInto(scope, out);
   return Status::OK();
 }
 
@@ -252,7 +250,7 @@ Status IndexManager::LookupRange(const IndexInfo& info,
   std::vector<ClassId> scope = ScopeClasses(scope_class, hierarchy);
   return info.tree.Scan(lo, lo_inclusive, hi, hi_inclusive,
                         [&](const Value&, const Posting& p) {
-                          p.CollectInto(&scope, out);
+                          p.CollectInto(scope, out);
                           return Status::OK();
                         });
 }
@@ -348,22 +346,25 @@ std::vector<Oid> IndexManager::RefsThrough(const Object& obj, AttrId attr) {
 std::vector<Value> IndexManager::DeriveKeys(const IndexInfo& info,
                                             const Object& target) const {
   key_recomputations_.fetch_add(1, std::memory_order_relaxed);
-  // Breadth-first fan-out along the path.
-  std::vector<Object> frontier{target};
+  // Breadth-first fan-out along the path; the target itself is not copied.
+  std::vector<Object> fetched;
+  std::vector<const Object*> frontier{&target};
   for (size_t step = 0; step + 1 < info.path_ids.size(); ++step) {
     std::vector<Object> next;
-    for (const Object& obj : frontier) {
-      for (Oid ref : RefsThrough(obj, info.path_ids[step])) {
+    for (const Object* obj : frontier) {
+      for (Oid ref : RefsThrough(*obj, info.path_ids[step])) {
         Result<Object> child = store_->Get(ref);
         if (child.ok()) next.push_back(std::move(*child));
       }
     }
-    frontier = std::move(next);
+    fetched = std::move(next);
+    frontier.clear();
+    for (const Object& obj : fetched) frontier.push_back(&obj);
   }
   std::vector<Value> keys;
   AttrId terminal = info.path_ids.back();
-  for (const Object& obj : frontier) {
-    const Value& v = obj.Get(terminal);
+  for (const Object* obj : frontier) {
+    const Value& v = obj->Get(terminal);
     if (v.is_null()) continue;
     if (v.is_collection()) {
       for (const Value& e : v.elements()) {
@@ -376,11 +377,16 @@ std::vector<Value> IndexManager::DeriveKeys(const IndexInfo& info,
   return keys;
 }
 
-void IndexManager::RefreshTarget(IndexInfo* info, Oid target, Oid cause) {
-  maintenance_ops_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<Value> keys;
+std::vector<Value> IndexManager::KeysOf(const IndexInfo& info,
+                                        Oid target) const {
   Result<Object> obj = store_->Get(target);
-  if (obj.ok()) keys = DeriveKeys(*info, *obj);  // deleted: no keys
+  if (!obj.ok()) return {};  // deleted: no keys
+  return DeriveKeys(info, *obj);
+}
+
+void IndexManager::RefreshTarget(IndexInfo* info, Oid target, Oid cause,
+                                 std::vector<Value> keys) {
+  maintenance_ops_.fetch_add(1, std::memory_order_relaxed);
   auto it = info->stored_keys.find(target);
   if (it != info->stored_keys.end()) {
     std::vector<Value> gone;
@@ -489,16 +495,14 @@ void IndexManager::OnInsert(const Object& obj) {
         AddRevEdges(info.get(), level, obj);
       }
     }
-    // A re-inserted path object (an aborted delete's rollback) is
-    // referenced again by the targets whose in-edges survived the delete.
-    for (size_t level = 1; level < info->path_ids.size(); ++level) {
+    // Key the object as a target (level 0). A re-inserted path object (an
+    // aborted delete's rollback) is referenced again by the targets whose
+    // in-edges survived the delete.
+    for (size_t level = 0; level < info->path_ids.size(); ++level) {
       if (!ClassAtLevel(*info, level, obj.class_id())) continue;
       for (Oid t : AffectedTargets(*info, level, obj.oid())) {
-        RefreshTarget(info.get(), t, obj.oid());
+        RefreshTarget(info.get(), t, obj.oid(), KeysOf(*info, t));
       }
-    }
-    if (info->CoversTargetClass(obj.class_id())) {
-      RefreshTarget(info.get(), obj.oid(), obj.oid());
     }
   }
 }
@@ -524,12 +528,8 @@ void IndexManager::OnUpdate(const Object& before, const Object& after) {
     // Refresh targets whose paths pass through this object (any level).
     for (size_t level = 0; level < n; ++level) {
       if (!touched(level)) continue;
-      if (level == 0) {
-        RefreshTarget(info.get(), after.oid(), after.oid());
-      } else {
-        for (Oid t : AffectedTargets(*info, level, after.oid())) {
-          RefreshTarget(info.get(), t, after.oid());
-        }
+      for (Oid t : AffectedTargets(*info, level, after.oid())) {
+        RefreshTarget(info.get(), t, after.oid(), KeysOf(*info, t));
       }
     }
   }
@@ -556,12 +556,14 @@ void IndexManager::OnDelete(const Object& before) {
     // In-edges (references *to* the deleted object) stay: their referrers
     // still hold the reference, drop it when they change or die, and an
     // aborted delete's re-insert finds its targets through them.
-    if (info->CoversTargetClass(before.class_id())) {
+    if (ClassAtLevel(*info, 0, before.class_id())) {
       // Removes (or defers) its entries.
-      RefreshTarget(info.get(), before.oid(), before.oid());
+      RefreshTarget(info.get(), before.oid(), before.oid(), {});
     }
     for (Oid t : affected) {
-      if (t != before.oid()) RefreshTarget(info.get(), t, before.oid());
+      if (t != before.oid()) {
+        RefreshTarget(info.get(), t, before.oid(), KeysOf(*info, t));
+      }
     }
   }
 }

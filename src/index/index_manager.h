@@ -83,9 +83,6 @@ struct IndexInfo {
   // superset only for snapshots at or after it: an older snapshot may read
   // versions whose keys the heap no longer had when the index was built.
   uint64_t built_ts = 0;
-
-  /// True if objects of `cls` are indexed at level 0.
-  bool CoversTargetClass(ClassId cls) const;
 };
 
 struct IndexManagerStats {
@@ -211,6 +208,8 @@ class IndexManager : public ObjectStoreListener {
   /// Scope classes of the posting filter for a lookup.
   std::vector<ClassId> ScopeClasses(ClassId scope_class, bool hierarchy) const;
 
+  /// True if objects of `cls` are indexed at path level `level` (level 0:
+  /// the targets).
   bool ClassAtLevel(const IndexInfo& info, size_t level, ClassId cls) const;
 
   /// Derives the index keys of a target object by forward path traversal
@@ -218,10 +217,16 @@ class IndexManager : public ObjectStoreListener {
   std::vector<Value> DeriveKeys(const IndexInfo& info,
                                 const Object& target) const;
 
-  /// Replaces the tree entries of one target with freshly derived keys.
-  /// A superseded key is deferred instead of removed while `cause` (the
-  /// written object) has a version chain.
-  void RefreshTarget(IndexInfo* info, Oid target, Oid cause);
+  /// The keys of a target as the store holds it now (none if it is gone).
+  /// Listener images are raw heap images that lack defaulted attributes,
+  /// so maintenance fetches the materialized object instead.
+  std::vector<Value> KeysOf(const IndexInfo& info, Oid target) const;
+
+  /// Replaces the tree entries of one target with `keys`, its freshly
+  /// derived keys. A superseded key is deferred instead of removed while
+  /// `cause` (the written object) has a version chain.
+  void RefreshTarget(IndexInfo* info, Oid target, Oid cause,
+                     std::vector<Value> keys);
 
   /// Records the removal of `gone` from `target`'s entries as deferred by
   /// `cause`. False (nothing recorded) when `cause` has no chain, so no
@@ -245,7 +250,8 @@ class IndexManager : public ObjectStoreListener {
   void AddRevEdges(IndexInfo* info, size_t level, const Object& obj);
   void RemoveRevEdges(IndexInfo* info, size_t level, const Object& obj);
 
-  /// Level-0 targets whose paths pass through `obj` at `level`.
+  /// Level-0 targets whose paths pass through `oid` at `level` (at level 0,
+  /// the object itself).
   std::vector<Oid> AffectedTargets(const IndexInfo& info, size_t level,
                                    Oid oid) const;
 

@@ -157,10 +157,8 @@ std::vector<RecordId> RelIndex::LookupEq(const Value& key) const {
   std::vector<RecordId> out;
   const Posting* p = tree_.Find(key);
   if (p == nullptr) return out;
-  std::vector<Oid> oids;
-  p->CollectInto(nullptr, &oids);
-  out.reserve(oids.size());
-  for (Oid o : oids) out.push_back(Unpack(o));
+  out.reserve(p->oids.size());
+  for (Oid o : p->oids) out.push_back(Unpack(o));
   return out;
 }
 
@@ -171,9 +169,7 @@ std::vector<RecordId> RelIndex::LookupRange(const std::optional<Value>& lo,
   std::vector<RecordId> out;
   Status st = tree_.Scan(lo, lo_inclusive, hi, hi_inclusive,
                          [&](const Value&, const Posting& p) {
-                           std::vector<Oid> oids;
-                           p.CollectInto(nullptr, &oids);
-                           for (Oid o : oids) out.push_back(Unpack(o));
+                           for (Oid o : p.oids) out.push_back(Unpack(o));
                            return Status::OK();
                          });
   (void)st;  // scan callbacks never fail here

@@ -109,13 +109,16 @@ TEST(BPlusTreeTest, MixedKeyKindsOrderConsistently) {
 class BTreeChurnTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(BTreeChurnTest, MatchesReferenceMultimap) {
+  // The first and the last class id a 24-bit OID class field holds, so a
+  // class subrange bound that wraps past the largest class shows.
+  const std::vector<ClassId> kClasses{0, 1, 2, 0xFFFFFF};
   BPlusTree tree(8);
   std::map<int64_t, std::set<uint64_t>> ref;
   Random rng(GetParam());
   for (int step = 0; step < 5000; ++step) {
     int64_t key = static_cast<int64_t>(rng.Uniform(300));
     uint64_t serial = rng.Uniform(50);
-    Oid oid = Oid::Make(1 + static_cast<ClassId>(serial % 3), serial);
+    Oid oid = Oid::Make(kClasses[rng.Uniform(kClasses.size())], serial);
     if (rng.OneIn(3)) {
       bool removed = tree.Remove(Value::Int(key), oid);
       bool expected = ref.count(key) && ref[key].erase(oid.raw()) > 0;
@@ -130,13 +133,35 @@ TEST_P(BTreeChurnTest, MatchesReferenceMultimap) {
   std::map<int64_t, std::set<uint64_t>> got;
   ASSERT_TRUE(tree.Scan(std::nullopt, true, std::nullopt, true,
                         [&](const Value& k, const Posting& p) {
-                          std::vector<Oid> oids;
-                          p.CollectInto(nullptr, &oids);
-                          for (Oid o : oids) got[k.as_int()].insert(o.raw());
+                          for (Oid o : p.oids) got[k.as_int()].insert(o.raw());
                           return Status::OK();
                         })
                   .ok());
   EXPECT_EQ(got, ref);
+  // A scope collects exactly its classes' OIDs, class by class in scope
+  // order, for every subset of the classes in either order.
+  for (const auto& [key, oids] : ref) {
+    const Posting* p = tree.Find(Value::Int(key));
+    ASSERT_NE(p, nullptr);
+    for (uint32_t mask = 0; mask < (1u << kClasses.size()); ++mask) {
+      std::vector<ClassId> scope;
+      for (size_t i = 0; i < kClasses.size(); ++i) {
+        if (mask & (1u << i)) scope.push_back(kClasses[i]);
+      }
+      for (int pass = 0; pass < 2; ++pass) {
+        std::vector<Oid> want;
+        for (ClassId cls : scope) {
+          for (uint64_t raw : oids) {
+            if (Oid(raw).class_id() == cls) want.push_back(Oid(raw));
+          }
+        }
+        std::vector<Oid> collected;
+        p->CollectInto(scope, &collected);
+        ASSERT_EQ(collected, want) << "key " << key << " mask " << mask;
+        std::reverse(scope.begin(), scope.end());
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BTreeChurnTest,
@@ -361,6 +386,49 @@ TEST_F(IndexManagerTest, RangeLookupHonorsScope) {
   // Trucks with weights 300, 500, 700.
   EXPECT_EQ(out.size(), 3u);
   for (Oid o : out) EXPECT_EQ(o.class_id(), truck_);
+}
+
+TEST_F(IndexManagerTest, BuildDerivesKeysWithoutFetchingTargets) {
+  for (int i = 0; i < 20; ++i) {
+    Put(i % 2 == 0 ? vehicle_ : truck_, {{"Weight", Value::Int(i % 5)}});
+  }
+  ObjectCacheStats before = store_->object_cache().stats();
+  auto single = im_->CreateIndex(IndexKind::kSingleClass, vehicle_,
+                                 {"Weight"});
+  auto ch = im_->CreateIndex(IndexKind::kClassHierarchy, vehicle_,
+                             {"Weight"});
+  ASSERT_TRUE(single.ok() && ch.ok());
+  ObjectCacheStats after = store_->object_cache().stats();
+  // Every ObjectStore::Get counts one cache hit or miss: the build keys
+  // each target from the image its extent walk already decoded.
+  EXPECT_EQ(after.hits + after.misses, before.hits + before.misses);
+  EXPECT_EQ(im_->StatsFor(*single).entries, 10u);
+  EXPECT_EQ(im_->StatsFor(*ch).entries, 20u);
+}
+
+TEST_F(IndexManagerTest, BuildKeysDefaultedAttributeOfOldRecords) {
+  Oid v = Put(vehicle_, {{"Weight", Value::Int(1)}});
+  // Records stored before the attribute existed lack it on the heap; the
+  // materialized object carries its default.
+  ASSERT_TRUE(
+      cat_.AddAttribute(vehicle_, {"Color", Domain::String(),
+                                   Value::Str("black")})
+          .ok());
+  auto id = im_->CreateIndex(IndexKind::kSingleClass, vehicle_, {"Color"});
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  auto idx = im_->GetIndex(*id);
+  ASSERT_TRUE(idx.ok());
+  EXPECT_EQ(Eq(*idx, Value::Str("black"), vehicle_, false),
+            std::vector<Oid>{v});
+  // Writing another attribute keeps the defaulted key.
+  ASSERT_TRUE(store_->SetAttr(1, v, "Weight", Value::Int(2)).ok());
+  EXPECT_EQ(Eq(*idx, Value::Str("black"), vehicle_, false),
+            std::vector<Oid>{v});
+  // Writing the indexed attribute replaces it.
+  ASSERT_TRUE(store_->SetAttr(1, v, "Color", Value::Str("red")).ok());
+  EXPECT_TRUE(Eq(*idx, Value::Str("black"), vehicle_, false).empty());
+  EXPECT_EQ(Eq(*idx, Value::Str("red"), vehicle_, false),
+            std::vector<Oid>{v});
 }
 
 TEST_F(IndexManagerTest, DropIndexStopsMaintenance) {
