@@ -33,7 +33,6 @@ double EquiDepthHistogram::SelectivityRange(const std::optional<Value>& lo,
                                             bool lo_inclusive,
                                             const std::optional<Value>& hi,
                                             bool hi_inclusive) const {
-  (void)lo_inclusive;
   if (empty()) return 0.0;
   double covered = 0.0;
   for (size_t i = 0; i < counts.size(); ++i) {

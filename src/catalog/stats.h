@@ -48,8 +48,9 @@ struct EquiDepthHistogram {
 /// Analyze-time snapshot of one class's cardinality profile plus the
 /// mutation drift accumulated since. `extent_pages` / `live_objects` are
 /// captured when `analyze <class>` runs so the planner never walks a page
-/// chain; drift is tracked so stale snapshots demote the planner back to
-/// rule-based choice.
+/// chain; drift is tracked so the planner stops reading a stale snapshot
+/// and prices from live counts and default selectivities until the
+/// snapshot is re-analyzed.
 struct ClassStats {
   uint64_t live_objects = 0;   // at analyze time
   uint64_t extent_pages = 0;   // at analyze time

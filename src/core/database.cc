@@ -340,13 +340,15 @@ void Database::WireMetrics() {
   m.GetCounter("query.pages_hit");
   m.GetCounter("query.pages_missed");
   m.GetCounter("query.trace_dropped");
+  // Index probes a snapshot answered by walking the scope (IndexScan's
+  // ScanScope): each is an index plan that read like a scan.
+  m.GetCounter("index.snapshot_scope_scans");
 
   // Optimizer outcomes, pushed per execution like the query.* counters.
-  // est_rows_error_pct records |estimated - actual| / actual per cost-based
-  // plan, so the soak monitor can watch estimation quality drift.
+  // est_rows_error_pct records |estimated - actual| / actual per planned
+  // query, so the soak monitor can watch estimation quality drift.
   m.GetCounter("optimizer.plans_considered");
   m.GetCounter("optimizer.index_plans_chosen");
-  m.GetCounter("optimizer.cost_based_plans");
   m.GetCounter("optimizer.analyze_runs");
   m.GetCounter("optimizer.auto_analyze_runs");
   m.GetHistogram("optimizer.est_rows_error_pct");
@@ -387,13 +389,13 @@ void Database::FlushQueryMetrics(const exec::ExecContext& ctx) {
   m.GetCounter("query.pages_hit")->Inc(ctx.pages_hit());
   m.GetCounter("query.pages_missed")->Inc(ctx.pages_missed());
   m.GetCounter("query.trace_dropped")->Inc(ctx.trace_dropped());
+  m.GetCounter("index.snapshot_scope_scans")
+      ->Inc(ctx.snapshot_scope_scans.load(kRelaxed));
   m.GetCounter("optimizer.plans_considered")
       ->Inc(ctx.plans_considered.load(kRelaxed));
   m.GetCounter("optimizer.index_plans_chosen")
       ->Inc(ctx.index_plans_chosen.load(kRelaxed));
-  m.GetCounter("optimizer.cost_based_plans")
-      ->Inc(ctx.cost_based_plans.load(kRelaxed));
-  if (ctx.plan_has_estimate.load(kRelaxed)) {
+  if (ctx.plans_considered.load(kRelaxed) > 0) {  // a plan was made
     uint64_t est = ctx.plan_est_rows.load(kRelaxed);
     uint64_t actual = ctx.result_rows.load(kRelaxed);
     uint64_t diff = est > actual ? est - actual : actual - est;

@@ -148,8 +148,8 @@ class Database : public MethodEnv {
   /// The `analyze <Class>` verb: rebuilds the cardinality statistics of
   /// the class and every subclass (live counts, extent pages, one
   /// equi-depth histogram per index targeting the class) and persists them
-  /// with the catalog. The cost-based planner prices plans from these
-  /// until mutation drift retires them (ClassStats::Fresh).
+  /// with the catalog. The planner prices plans from these until mutation
+  /// drift retires them (ClassStats::Fresh), and from defaults after.
   Status AnalyzeClass(std::string_view class_name);
 
   /// Cardinality statistics the planner reads (exposed for tests/tools).
@@ -157,8 +157,8 @@ class Database : public MethodEnv {
 
   /// Automatic re-analyze: the planner fires this whenever it meets a class
   /// whose statistics drifted stale (ClassStats::Fresh() false); a
-  /// background thread re-runs AnalyzeClass so the next plans price
-  /// cost-based again instead of waiting for a manual `analyze` verb.
+  /// background thread re-runs AnalyzeClass so the next plans price from
+  /// histograms again instead of waiting for a manual `analyze` verb.
   /// Deduplicated per class; runs are counted as
   /// `optimizer.auto_analyze_runs`. Exposed so tests can enqueue directly.
   void ScheduleAutoAnalyze(ClassId root);
@@ -232,7 +232,7 @@ class Database : public MethodEnv {
   Database() = default;
 
   /// Forwards every store mutation to the stats registry as drift, so the
-  /// planner demotes to rule-based choice once statistics go stale.
+  /// planner stops reading statistics once they go stale.
   class StatsListener : public ObjectStoreListener {
    public:
     explicit StatsListener(StatsRegistry* stats) : stats_(stats) {}

@@ -52,6 +52,7 @@ class ExecContext {
   std::atomic<uint64_t> objects_fetched{0};      // directory point fetches
   std::atomic<uint64_t> index_candidates{0};     // OIDs produced by indexes
   std::atomic<uint64_t> index_probes{0};         // index lookups issued
+  std::atomic<uint64_t> snapshot_scope_scans{0}; // probes that walked scope
   std::atomic<uint64_t> predicates_evaluated{0}; // top-level Matches calls
   std::atomic<uint64_t> ref_fetches{0};          // path-expression derefs
   std::atomic<uint64_t> tuples_scanned{0};       // relational rows read
@@ -64,9 +65,7 @@ class ExecContext {
 
   std::atomic<uint64_t> plans_considered{0};  // candidates Plan() enumerated
   std::atomic<uint64_t> index_plans_chosen{0};
-  std::atomic<uint64_t> cost_based_plans{0};  // plans priced from stats
   std::atomic<uint64_t> plan_est_rows{0};     // winning plan's estimate
-  std::atomic<bool> plan_has_estimate{false};
   std::atomic<uint64_t> result_rows{0};       // actual result cardinality
 
   // --- physical counters (buffer-pool delta) -------------------------------

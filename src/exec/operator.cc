@@ -12,7 +12,7 @@ void RenderTree(const Operator& op, size_t depth, bool analyze,
                 std::string* out) {
   out->append(depth * 2, ' ');
   out->append(op.Describe());
-  // Planner estimates (cost-based plans only). In EXPLAIN they are the
+  // Planner estimates (trees QueryEngine lowered). In EXPLAIN they are the
   // whole annotation; in EXPLAIN ANALYZE they lead the span so estimated
   // and actual cardinality sit side by side.
   if (op.has_estimates()) {

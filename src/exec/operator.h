@@ -127,8 +127,8 @@ class Operator {
   const OpStats& stats() const { return stats_; }
 
   /// Planner estimates for EXPLAIN (est_rows next to actual rows). Set by
-  /// QueryEngine::Lower only when the plan was cost-based; `est_cost` < 0
-  /// means "rows only" (non-root operators).
+  /// QueryEngine::Lower on every plan; `est_cost` < 0 means "rows only"
+  /// (non-root operators).
   void SetEstimates(uint64_t est_rows, double est_cost = -1.0) {
     has_estimates_ = true;
     est_rows_ = est_rows;

@@ -187,6 +187,7 @@ std::vector<const Operator*> HierarchyScan::children() const {
 Status IndexScan::OpenImpl(ExecContext* ctx) {
   candidates_.clear();
   pos_ = 0;
+  scope_walked_ = false;
   KIMDB_ASSIGN_OR_RETURN(const IndexInfo* info,
                          indexes_->GetIndex(spec_.index_id));
   ctx->used_index.store(true, std::memory_order_relaxed);
@@ -205,6 +206,8 @@ Status IndexScan::OpenImpl(ExecContext* ctx) {
   // current keys were derived from: a re-check suffices.
   if (check == SnapshotCheck::kScan && ctx->snapshot_active()) {
     candidates_.clear();
+    ctx->snapshot_scope_scans.fetch_add(1, std::memory_order_relaxed);
+    scope_walked_ = true;
     KIMDB_RETURN_IF_ERROR(ScanScope(ctx));
     check = SnapshotCheck::kNone;
   }
@@ -294,7 +297,11 @@ std::string IndexScan::DescribeSpec(const Spec& spec) {
   return out + ")";
 }
 
-std::string IndexScan::Describe() const { return DescribeSpec(spec_); }
+std::string IndexScan::Describe() const {
+  std::string out = DescribeSpec(spec_);
+  if (scope_walked_) out.insert(out.size() - 1, ", scope_walk");
+  return out;
+}
 
 // --- Filter -----------------------------------------------------------------
 

@@ -98,7 +98,9 @@ class HierarchyScan : public Operator {
 /// reports, under its lock, what the answer needs (SnapshotCheck): with
 /// kRecheck each candidate must pass `Spec::recheck` against the image the
 /// context reads; with kScan under a snapshot, the candidates come from a
-/// version-resolving walk of the scope extents instead of the tree.
+/// version-resolving walk of the scope extents instead of the tree. The
+/// walk counts in ExecContext::snapshot_scope_scans, and Describe() then
+/// names it (`scope_walk`), so EXPLAIN ANALYZE shows it on this line.
 class IndexScan : public Operator {
  public:
   struct Spec {
@@ -138,6 +140,7 @@ class IndexScan : public Operator {
   std::vector<Oid> candidates_;
   size_t pos_ = 0;
   bool recheck_ = false;  // candidates must still pass spec_.recheck
+  bool scope_walked_ = false;  // the last Open took ScanScope
 };
 
 /// Applies a residual predicate. A scan child that accepts

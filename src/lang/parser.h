@@ -34,8 +34,8 @@ namespace lang {
 /// executes the query and renders the tree with per-operator spans
 /// (rows / loops / time / buffer-pool pages). `analyze <Class>` is the
 /// statistics verb: it rebuilds the cardinality stats (live counts, extent
-/// pages, per-index key histograms) the cost-based planner prices plans
-/// from; `query` is unset for it.
+/// pages, per-index key histograms) the planner prices plans from;
+/// `query` is unset for it.
 struct Statement {
   bool explain = false;
   bool analyze = false;  // only meaningful when explain is set

@@ -87,13 +87,11 @@ std::string QueryPlan::ToString() const {
   // Renders the same tree Lower() builds (operator Describe format plus
   // the same est_* annotations SetEstimates puts on the operators), so
   // EXPLAIN output is the executed pipeline shape.
-  std::string root_ann, leaf_ann;
-  if (cost_based) {
-    char cbuf[48];
-    std::snprintf(cbuf, sizeof(cbuf), " est_cost=%.1f)", est_cost);
-    root_ann = " (est_rows=" + std::to_string(est_rows) + cbuf;
-    leaf_ann = " (est_rows=" + std::to_string(est_input_rows) + ")";
-  }
+  char cbuf[48];
+  std::snprintf(cbuf, sizeof(cbuf), " est_cost=%.1f)", est_cost);
+  const std::string root_ann = " (est_rows=" + std::to_string(est_rows) + cbuf;
+  const std::string leaf_ann =
+      " (est_rows=" + std::to_string(est_input_rows) + ")";
   std::string leaf;       // the access path's own line
   std::string leaf_kids;  // indented ExtentScan children (hierarchy only)
   if (index_scan) {
@@ -168,6 +166,49 @@ std::optional<Sargable> MatchSargable(const Expr& e) {
   return std::nullopt;
 }
 
+// Every sargable conjunct on one path, folded into the one key interval an
+// index probe over that path reads: an equality key, or the tightest
+// lo/hi bounds of its range conjuncts.
+struct KeyInterval {
+  std::vector<std::string> path;
+  ExprPtr eq_conjunct;  // the first equality; the probe consumes it
+  std::optional<Value> eq_key;
+  std::optional<Value> lo, hi;
+  bool lo_inclusive = true, hi_inclusive = true;
+
+  void Add(const Sargable& s, const ExprPtr& conjunct) {
+    switch (s.op) {
+      case Expr::Op::kEq:
+        // A second equality stays a plain residual conjunct (a
+        // contradictory one then yields the empty result).
+        if (!eq_key.has_value()) {
+          eq_key = s.key;
+          eq_conjunct = conjunct;
+        }
+        break;
+      case Expr::Op::kLt:
+      case Expr::Op::kLe: {
+        bool incl = s.op == Expr::Op::kLe;
+        int c = hi.has_value() ? s.key.Compare(*hi) : -1;
+        if (c < 0 || (c == 0 && !incl)) {
+          hi = s.key;
+          hi_inclusive = incl;
+        }
+        break;
+      }
+      default: {  // kGt, kGe
+        bool incl = s.op == Expr::Op::kGe;
+        int c = lo.has_value() ? s.key.Compare(*lo) : 1;
+        if (c > 0 || (c == 0 && !incl)) {
+          lo = s.key;
+          lo_inclusive = incl;
+        }
+        break;
+      }
+    }
+  }
+};
+
 void FlattenConjuncts(const ExprPtr& e, std::vector<ExprPtr>* out) {
   if (!e) return;
   if (e->op == Expr::Op::kAnd) {
@@ -199,7 +240,8 @@ constexpr double kProbeCost = 2.0;
 constexpr double kFetchCost = 6.0;
 constexpr double kCachedFetchCost = 1.0;
 constexpr double kEmitCost = 0.1;
-// Fallback selectivities when no histogram covers a conjunct.
+// Selectivities when no fresh histogram covers a path: per equality, per
+// range bound, and per conjunct the planner cannot price at all.
 constexpr double kDefaultEqSelectivity = 0.1;
 constexpr double kDefaultRangeSelectivity = 1.0 / 3.0;
 constexpr double kDefaultResidualSelectivity = 0.5;
@@ -215,276 +257,176 @@ Result<QueryPlan> QueryEngine::Plan(const Query& q,
   plan.target = q.target;
   plan.hierarchy_scope = q.hierarchy_scope;
   plan.target_name = target_def->name;
-  if (q.hierarchy_scope) {
-    for (ClassId c : cat.Subtree(q.target)) {
-      Result<const ClassDef*> def = cat.GetClass(c);
-      plan.scope_class_names.push_back(def.ok() ? (*def)->name
-                                                : std::to_string(c));
-    }
-  } else {
-    plan.scope_class_names.push_back(target_def->name);
+  const std::vector<ClassId> scope_ids =
+      q.hierarchy_scope ? cat.Subtree(q.target)
+                        : std::vector<ClassId>{q.target};
+  for (ClassId c : scope_ids) {
+    Result<const ClassDef*> def = cat.GetClass(c);
+    plan.scope_class_names.push_back(def.ok() ? (*def)->name
+                                              : std::to_string(c));
   }
   plan.residual = q.predicate;
 
+  // One pass over the conjuncts: sargable ones fold into one key interval
+  // per path, the rest only scale the result estimate.
   std::vector<ExprPtr> conjuncts;
   FlattenConjuncts(q.predicate, &conjuncts);
-
-  // Every sargable conjunct with a usable index is a candidate access path;
-  // the sequential scan is always the (plans_considered-th) last candidate.
-  struct Candidate {
-    Sargable s;
-    const IndexInfo* idx;
-  };
-  std::vector<Candidate> candidates;
+  std::vector<KeyInterval> intervals;
+  double unpriced_sel = 1.0;
+  double deref_steps = 0.0;  // path hops a scan pays per scoped object
   for (const ExprPtr& c : conjuncts) {
-    auto s = MatchSargable(*c);
-    if (!s) continue;
+    std::optional<Sargable> s = MatchSargable(*c);
+    if (!s.has_value()) {
+      unpriced_sel *= kDefaultResidualSelectivity;
+      continue;
+    }
+    deref_steps += static_cast<double>(s->path.size() - 1);
+    auto it = std::find_if(
+        intervals.begin(), intervals.end(),
+        [&](const KeyInterval& k) { return k.path == s->path; });
+    if (it == intervals.end()) {
+      it = intervals.insert(intervals.end(), KeyInterval{});
+      it->path = s->path;
+    }
+    it->Add(*s, c);
+  }
+
+  // Only fresh statistics are read (ClassStats::Fresh); stale or absent
+  // ones leave the defaults to price the plan. Drift that just retired a
+  // class's snapshot hands it to the background re-analyzer.
+  auto fresh_stats = [&](ClassId c) -> std::optional<ClassStats> {
+    std::optional<ClassStats> s =
+        stats_ == nullptr ? std::nullopt : stats_->Get(c);
+    if (s.has_value() && s->Fresh()) return s;
+    if (s.has_value() && s->analyzed && stale_stats_hook_ && c == q.target) {
+      stale_stats_hook_(c);
+    }
+    return std::nullopt;
+  };
+  const std::optional<ClassStats> tstats = fresh_stats(q.target);
+
+  // Exact scope cardinality off the directory's per-class live counters;
+  // heap pages from analyze-time page counts scaled by the live-count
+  // ratio (HeapFile::Pages() would do I/O at plan time), else a default
+  // density.
+  uint64_t scope_rows = 0;
+  double est_pages = 0.0;
+  for (ClassId c : scope_ids) {
+    uint64_t rows_c = store_->LiveCount(c);
+    scope_rows += rows_c;
+    if (rows_c == 0) continue;
+    std::optional<ClassStats> cs = c == q.target ? tstats : fresh_stats(c);
+    if (cs.has_value() && cs->extent_pages > 0 && cs->live_objects > 0) {
+      est_pages += static_cast<double>(cs->extent_pages) *
+                   static_cast<double>(rows_c) /
+                   static_cast<double>(cs->live_objects);
+    } else {
+      est_pages +=
+          std::max(1.0, static_cast<double>(rows_c) / kDefaultRowsPerPage);
+    }
+  }
+
+  // Point-fetch discount: candidates resident in the object cache skip
+  // the heap entirely, so the fetch leg of an index plan shrinks with the
+  // measured hit rate (clamped -- a cold cache still pays full).
+  ObjectCacheStats oc = store_->object_cache().stats();
+  double hit_rate = oc.hits + oc.misses > 0
+                        ? static_cast<double>(oc.hits) /
+                              static_cast<double>(oc.hits + oc.misses)
+                        : 0.5;
+  hit_rate = std::clamp(hit_rate, 0.0, 0.95);
+  const double fetch_cost =
+      hit_rate * kCachedFetchCost + (1.0 - hit_rate) * kFetchCost;
+
+  // The sequential scan: every scope page + every scoped row, plus the
+  // dereference fetches multi-segment predicate paths cost per row.
+  const double rows = static_cast<double>(scope_rows);
+  plan.est_cost =
+      est_pages * kPageCost + rows * (kRowCost + deref_steps * fetch_cost);
+  double best_matches = rows;
+  double pred_sel = unpriced_sel;
+  const KeyInterval* winner = nullptr;
+  const IndexInfo* winner_idx = nullptr;
+  plan.plans_considered = 1;
+
+  // One selectivity per path, from the histogram of the class the path's
+  // index targets; else 1/keys for an equality on an indexed path; else
+  // the defaults. Each indexed path is one more candidate: a root-to-leaf
+  // probe plus the per-match cost -- a covered equality emits OIDs,
+  // anything else point-fetches the candidate for the residual.
+  for (const KeyInterval& k : intervals) {
     const IndexInfo* idx =
         indexes_ == nullptr
             ? nullptr
-            : indexes_->FindIndexFor(q.target, s->path, q.hierarchy_scope,
+            : indexes_->FindIndexFor(q.target, k.path, q.hierarchy_scope,
                                      read_ts);
+    std::optional<ClassStats> other;
+    const ClassStats* src = tstats.has_value() ? &*tstats : nullptr;
+    if (idx != nullptr && idx->target_class != q.target) {
+      other = fresh_stats(idx->target_class);
+      src = other.has_value() ? &*other : nullptr;
+    }
+    const EquiDepthHistogram* hist = nullptr;
+    if (src != nullptr) {
+      auto hit = src->path_hists.find(JoinPath(k.path));
+      if (hit != src->path_hists.end() && !hit->second.empty()) {
+        hist = &hit->second;
+      }
+    }
+    IndexManager::TreeStats tree;
+    if (idx != nullptr) tree = indexes_->StatsFor(idx->id);
+    double sel;
+    if (hist != nullptr) {
+      sel = k.eq_key.has_value()
+                ? hist->SelectivityEq(*k.eq_key)
+                : hist->SelectivityRange(k.lo, k.lo_inclusive, k.hi,
+                                         k.hi_inclusive);
+    } else if (k.eq_key.has_value()) {
+      sel = idx != nullptr && tree.keys > 0
+                ? std::min(1.0, 1.0 / static_cast<double>(tree.keys))
+                : kDefaultEqSelectivity;
+    } else {
+      sel = std::pow(kDefaultRangeSelectivity,
+                     (k.lo.has_value() ? 1 : 0) + (k.hi.has_value() ? 1 : 0));
+    }
+    pred_sel *= sel;
     if (idx == nullptr) continue;
-    candidates.push_back(Candidate{*s, idx});
+    ++plan.plans_considered;
+    double matches = sel * rows;
+    bool covered = k.eq_key.has_value() && conjuncts.size() == 1;
+    double cost = kProbeCost * std::max(1, tree.height) +
+                  matches * (covered ? kEmitCost : fetch_cost + kRowCost);
+    if (cost < plan.est_cost) {
+      plan.est_cost = cost;
+      best_matches = matches;
+      winner = &k;
+      winner_idx = idx;
+    }
   }
-  plan.plans_considered = static_cast<uint32_t>(1 + candidates.size());
+  plan.est_rows = static_cast<uint64_t>(
+      std::llround(std::clamp(pred_sel, 0.0, 1.0) * rows));
+  plan.est_input_rows = static_cast<uint64_t>(std::llround(best_matches));
+  if (winner == nullptr) return plan;  // sequential scan priced cheapest
 
-  // Cost-based pricing needs fresh statistics for the target class (the
-  // `analyze <class>` verb installs them; enough mutation drift retires
-  // them, see ClassStats::Fresh). Without them the rule-based fallback
-  // below decides.
-  std::optional<ClassStats> tstats =
-      stats_ == nullptr ? std::nullopt : stats_->Get(q.target);
-  const bool have_stats = tstats.has_value() && tstats->Fresh();
-  if (stale_stats_hook_ && tstats.has_value() && tstats->analyzed &&
-      !tstats->Fresh()) {
-    // Drift just retired this class's snapshot: hand it to the background
-    // re-analyzer so a later plan prices cost-based again.
-    stale_stats_hook_(q.target);
-  }
-
-  const IndexInfo* chosen = nullptr;
-  std::vector<std::string> chosen_path;
-
-  if (have_stats) {
-    // Exact scope cardinality off the directory's per-class live counters.
-    std::vector<ClassId> scope_ids = q.hierarchy_scope
-                                         ? cat.Subtree(q.target)
-                                         : std::vector<ClassId>{q.target};
-    uint64_t scope_rows = 0;
-    for (ClassId c : scope_ids) scope_rows += store_->LiveCount(c);
-
-    // Estimated heap pages in scope: analyze-time page counts scaled by
-    // the live-count ratio (HeapFile::Pages() would do I/O at plan time).
-    double est_pages = 0.0;
-    for (ClassId c : scope_ids) {
-      uint64_t rows_c = store_->LiveCount(c);
-      if (rows_c == 0) continue;
-      std::optional<ClassStats> cs =
-          c == q.target ? tstats : stats_->Get(c);
-      if (cs.has_value() && cs->analyzed && cs->extent_pages > 0 &&
-          cs->live_objects > 0) {
-        est_pages += static_cast<double>(cs->extent_pages) *
-                     static_cast<double>(rows_c) /
-                     static_cast<double>(cs->live_objects);
-      } else {
-        est_pages += std::max(
-            1.0, static_cast<double>(rows_c) / kDefaultRowsPerPage);
-      }
-    }
-
-    // Point-fetch discount: candidates resident in the object cache skip
-    // the heap entirely, so the fetch leg of an index plan shrinks with
-    // the measured hit rate (clamped -- a cold cache still pays full).
-    ObjectCacheStats oc = store_->object_cache().stats();
-    double hit_rate =
-        oc.hits + oc.misses > 0
-            ? static_cast<double>(oc.hits) /
-                  static_cast<double>(oc.hits + oc.misses)
-            : 0.5;
-    hit_rate = std::clamp(hit_rate, 0.0, 0.95);
-    const double fetch_cost =
-        hit_rate * kCachedFetchCost + (1.0 - hit_rate) * kFetchCost;
-
-    // Selectivity of one sargable conjunct: histogram when the analyzed
-    // class carries one for the path, else 1/keys for equality on an
-    // indexed path, else the textbook defaults.
-    auto selectivity = [&](const Sargable& s,
-                           const IndexInfo* idx) -> double {
-      const std::string key = JoinPath(s.path);
-      const ClassStats* src = nullptr;
-      std::optional<ClassStats> other;
-      if (idx != nullptr && idx->target_class != q.target) {
-        other = stats_->Get(idx->target_class);
-        if (other.has_value() && other->Fresh()) src = &*other;
-      } else {
-        src = &*tstats;
-      }
-      if (src != nullptr) {
-        auto hit = src->path_hists.find(key);
-        if (hit != src->path_hists.end() && !hit->second.empty()) {
-          const EquiDepthHistogram& h = hit->second;
-          switch (s.op) {
-            case Expr::Op::kEq:
-              return h.SelectivityEq(s.key);
-            case Expr::Op::kLt:
-              return h.SelectivityRange(std::nullopt, true, s.key, false);
-            case Expr::Op::kLe:
-              return h.SelectivityRange(std::nullopt, true, s.key, true);
-            case Expr::Op::kGt:
-              return h.SelectivityRange(s.key, false, std::nullopt, true);
-            case Expr::Op::kGe:
-              return h.SelectivityRange(s.key, true, std::nullopt, true);
-            default:
-              break;
-          }
-        }
-      }
-      if (s.op == Expr::Op::kEq) {
-        if (idx != nullptr) {
-          IndexManager::TreeStats t = indexes_->StatsFor(idx->id);
-          if (t.keys > 0) {
-            return std::min(1.0, 1.0 / static_cast<double>(t.keys));
-          }
-        }
-        return kDefaultEqSelectivity;
-      }
-      return kDefaultRangeSelectivity;
-    };
-
-    // Overall predicate selectivity -> estimated result cardinality.
-    double pred_sel = 1.0;
-    double deref_steps = 0.0;  // path hops a scan pays per scoped object
-    for (const ExprPtr& c : conjuncts) {
-      auto s = MatchSargable(*c);
-      if (s.has_value()) {
-        const IndexInfo* idx = nullptr;
-        for (const Candidate& cand : candidates) {
-          if (cand.s.path == s->path && cand.s.op == s->op) {
-            idx = cand.idx;
-            break;
-          }
-        }
-        pred_sel *= selectivity(*s, idx);
-        if (s->path.size() > 1) deref_steps += s->path.size() - 1;
-      } else {
-        pred_sel *= kDefaultResidualSelectivity;
-      }
-    }
-    pred_sel = std::clamp(pred_sel, 0.0, 1.0);
-
-    // Price the sequential scan: every scope page + every scoped row, plus
-    // the dereference fetches multi-segment predicate paths cost per row.
-    const double scan_cost = est_pages * kPageCost +
-                             static_cast<double>(scope_rows) *
-                                 (kRowCost + deref_steps * fetch_cost);
-
-    // Price each index candidate: a root-to-leaf probe plus the per-match
-    // cost -- a covered equality emits OIDs, anything else point-fetches
-    // the candidate and re-checks the residual.
-    double best_cost = scan_cost;
-    double best_matches = static_cast<double>(scope_rows);
-    const Candidate* winner = nullptr;
-    for (const Candidate& cand : candidates) {
-      double sel = selectivity(cand.s, cand.idx);
-      double est_matches = sel * static_cast<double>(scope_rows);
-      IndexManager::TreeStats t = indexes_->StatsFor(cand.idx->id);
-      bool covered = cand.s.op == Expr::Op::kEq && conjuncts.size() == 1;
-      double per_match = covered ? kEmitCost : fetch_cost + kRowCost;
-      double cost = kProbeCost * std::max(1, t.height) +
-                    est_matches * per_match;
-      if (cost < best_cost) {
-        best_cost = cost;
-        best_matches = est_matches;
-        winner = &cand;
-      }
-    }
-
-    plan.cost_based = true;
-    plan.est_cost = best_cost;
-    plan.est_rows = static_cast<uint64_t>(
-        std::llround(pred_sel * static_cast<double>(scope_rows)));
-    plan.est_input_rows = static_cast<uint64_t>(std::llround(best_matches));
-    if (winner == nullptr) return plan;  // sequential scan priced cheapest
-    chosen = winner->idx;
-    chosen_path = winner->s.path;
+  // The probe reads the winning interval. The residual keeps every other
+  // conjunct, the interval's range conjuncts included: on a set-valued
+  // path each is existential over possibly different elements, so the
+  // merged bounds only narrow the candidates.
+  plan.index_scan = true;
+  plan.index_id = winner_idx->id;
+  plan.index_path = winner->path;
+  if (winner->eq_key.has_value()) {
+    plan.eq_key = winner->eq_key;
   } else {
-    // Rule-based fallback: first sargable conjunct with a usable index,
-    // preferring equality matches over ranges.
-    bool chosen_is_eq = false;
-    for (const Candidate& cand : candidates) {
-      bool is_eq = cand.s.op == Expr::Op::kEq;
-      if (chosen == nullptr || (is_eq && !chosen_is_eq)) {
-        chosen = cand.idx;
-        chosen_path = cand.s.path;
-        chosen_is_eq = is_eq;
-      }
-    }
+    plan.lo = winner->lo;
+    plan.hi = winner->hi;
+    plan.lo_inclusive = winner->lo_inclusive;
+    plan.hi_inclusive = winner->hi_inclusive;
   }
-  if (chosen == nullptr) return plan;
-
-  // Consume every conjunct on the chosen path; merge ranges.
   std::vector<ExprPtr> residual;
   for (const ExprPtr& c : conjuncts) {
-    auto s = MatchSargable(*c);
-    if (!s || s->path != chosen_path) {
-      residual.push_back(c);
-      continue;
-    }
-    switch (s->op) {
-      case Expr::Op::kEq:
-        if (plan.eq_key.has_value() &&
-            plan.eq_key->Compare(s->key) != 0) {
-          // Contradictory equalities: keep as residual (yields empty).
-          residual.push_back(c);
-        } else {
-          plan.eq_key = s->key;
-        }
-        break;
-      case Expr::Op::kLt:
-      case Expr::Op::kLe: {
-        bool incl = s->op == Expr::Op::kLe;
-        if (!plan.hi.has_value() || s->key.Compare(*plan.hi) < 0 ||
-            (s->key.Compare(*plan.hi) == 0 && !incl)) {
-          plan.hi = s->key;
-          plan.hi_inclusive = incl;
-        }
-        break;
-      }
-      case Expr::Op::kGt:
-      case Expr::Op::kGe: {
-        bool incl = s->op == Expr::Op::kGe;
-        if (!plan.lo.has_value() || s->key.Compare(*plan.lo) > 0 ||
-            (s->key.Compare(*plan.lo) == 0 && !incl)) {
-          plan.lo = s->key;
-          plan.lo_inclusive = incl;
-        }
-        break;
-      }
-      default:
-        residual.push_back(c);
-    }
+    if (c != winner->eq_conjunct) residual.push_back(c);
   }
-  // NOTE on multi-valued paths: index consumption of *multiple* conjuncts
-  // on one set-valued path can widen results (each conjunct is existential
-  // over possibly different elements); re-checking them as residual keeps
-  // the result exact, so range conjuncts stay in the residual when the
-  // bounds came from more than one conjunct. For simplicity and safety we
-  // always re-check consumed range conjuncts.
-  for (const ExprPtr& c : conjuncts) {
-    auto s = MatchSargable(*c);
-    if (s && s->path == chosen_path && s->op != Expr::Op::kEq) {
-      residual.push_back(c);
-    }
-  }
-  // Deduplicate: conjuncts may have been added twice above.
-  std::sort(residual.begin(), residual.end());
-  residual.erase(std::unique(residual.begin(), residual.end()),
-                 residual.end());
-
-  plan.index_scan = true;
-  plan.index_id = chosen->id;
-  plan.index_path = chosen_path;
   plan.residual = AndAll(residual);
   return plan;
 }
@@ -546,14 +488,14 @@ Result<std::unique_ptr<exec::Operator>> QueryEngine::Lower(
     std::unique_ptr<exec::Operator> scan = std::make_unique<exec::IndexScan>(
         indexes_, store_, std::move(spec));
     if (!plan.residual) {  // covered query: no fetch, no filter
-      if (plan.cost_based) scan->SetEstimates(plan.est_rows, plan.est_cost);
+      scan->SetEstimates(plan.est_rows, plan.est_cost);
       return scan;
     }
-    if (plan.cost_based) scan->SetEstimates(plan.est_input_rows);
+    scan->SetEstimates(plan.est_input_rows);
     std::unique_ptr<exec::Operator> filter = std::make_unique<exec::Filter>(
         std::move(scan), store_, MatchFnFor(plan.residual),
         plan.residual->ToString());
-    if (plan.cost_based) filter->SetEstimates(plan.est_rows, plan.est_cost);
+    filter->SetEstimates(plan.est_rows, plan.est_cost);
     return filter;
   }
 
@@ -580,14 +522,14 @@ Result<std::unique_ptr<exec::Operator>> QueryEngine::Lower(
                                               name_of(q.target));
   }
   if (!q.predicate) {
-    if (plan.cost_based) scan->SetEstimates(plan.est_rows, plan.est_cost);
+    scan->SetEstimates(plan.est_rows, plan.est_cost);
     return scan;
   }
-  if (plan.cost_based) scan->SetEstimates(plan.est_input_rows);
+  scan->SetEstimates(plan.est_input_rows);
   std::unique_ptr<exec::Operator> filter = std::make_unique<exec::Filter>(
       std::move(scan), store_, MatchFnFor(q.predicate),
       q.predicate->ToString());
-  if (plan.cost_based) filter->SetEstimates(plan.est_rows, plan.est_cost);
+  filter->SetEstimates(plan.est_rows, plan.est_cost);
   return filter;
 }
 
@@ -604,11 +546,7 @@ void RecordPlanOutcome(const QueryPlan& plan, exec::ExecContext* ctx) {
   constexpr auto kRelaxed = std::memory_order_relaxed;
   ctx->plans_considered.fetch_add(plan.plans_considered, kRelaxed);
   if (plan.index_scan) ctx->index_plans_chosen.fetch_add(1, kRelaxed);
-  if (plan.cost_based) {
-    ctx->cost_based_plans.fetch_add(1, kRelaxed);
-    ctx->plan_est_rows.store(plan.est_rows, kRelaxed);
-    ctx->plan_has_estimate.store(true, kRelaxed);
-  }
+  ctx->plan_est_rows.store(plan.est_rows, kRelaxed);
 }
 
 }  // namespace

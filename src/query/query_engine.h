@@ -75,14 +75,12 @@ struct QueryPlan {
   std::string target_name;
   std::vector<std::string> scope_class_names;  // extents in Subtree order
 
-  // Cost-model outcome. `cost_based` is true only when fresh catalog stats
-  // priced the candidates; rule-based fallback plans leave the estimates
-  // zero and EXPLAIN renders no est_* annotations.
-  bool cost_based = false;
+  // Cost-model outcome, set by every Plan(): from fresh catalog stats
+  // where they exist, else from live counts and default selectivities.
   double est_cost = 0.0;        // winning plan's cost in abstract page units
   uint64_t est_rows = 0;        // estimated result cardinality
   uint64_t est_input_rows = 0;  // estimated rows out of the access path
-  uint32_t plans_considered = 0;  // candidates enumerated (scan + indexes)
+  uint32_t plans_considered = 0;  // the scan + one per indexed path
 
   std::string ToString() const;
 };
@@ -100,20 +98,20 @@ class QueryEngine {
               MethodEnv* env = nullptr)
       : store_(store), indexes_(indexes), methods_(methods), env_(env) {}
 
-  /// Wires the catalog's cardinality statistics into the planner. With
-  /// fresh stats for the target class Plan() prices every candidate access
-  /// path (sequential scan + one per usable index) from cardinalities,
-  /// histogram selectivities and the object-cache hit rate, and picks the
-  /// cheapest; without them it falls back to the rule-based preference
-  /// (first usable index, equality over range).
+  /// Wires the catalog's cardinality statistics into the planner. Plan()
+  /// folds the sargable conjuncts on each path into one key interval and
+  /// prices the sequential scan plus one candidate per indexed path from
+  /// live counts, the object-cache hit rate and the interval's
+  /// selectivity, and picks the cheapest. Selectivities come from the
+  /// histograms of fresh stats; without them, 1/keys for an equality on an
+  /// indexed path, else defaults.
   void AttachStats(const StatsRegistry* stats) { stats_ = stats; }
 
   /// Fired by Plan() when the target class *had* statistics but mutation
-  /// drift retired them (analyzed && !Fresh()) -- the moment the planner
-  /// demotes to rule-based choice. The Database wires its background
-  /// auto-analyzer here so stats refresh without a manual `analyze` verb.
-  /// Must be thread-safe and cheap (called on the planning path); set once
-  /// before queries run.
+  /// drift retired them (analyzed && !Fresh()): that plan is priced from
+  /// defaults. The Database wires its background auto-analyzer here so
+  /// stats refresh without a manual `analyze` verb. Must be thread-safe
+  /// and cheap (called on the planning path); set once before queries run.
   void SetStaleStatsHook(std::function<void(ClassId)> hook) {
     stale_stats_hook_ = std::move(hook);
   }

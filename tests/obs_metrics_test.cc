@@ -386,12 +386,14 @@ TEST_F(ObsMetricsDbTest, ExplainAnalyzeRowsMatchQueryStats) {
   EXPECT_EQ(scan.stats().objects_scanned, analyzed.objects_scanned);
   EXPECT_GT(filter.stats().time_ns, 0u);
 
-  // The rendered form carries the same numbers.
+  // The rendered form carries the same numbers. Actual rows follow a
+  // space; the scan's estimate of its 50 input rows reads est_rows=50.
   std::string rendered = exec::ExplainAnalyzeTree(**root);
   EXPECT_NE(rendered.find("Filter"), std::string::npos);
-  EXPECT_NE(rendered.find("rows=10"), std::string::npos);
+  EXPECT_NE(rendered.find(" rows=10"), std::string::npos);
   EXPECT_NE(rendered.find("scanned=50"), std::string::npos);
-  EXPECT_EQ(rendered.find("rows=50"), std::string::npos);
+  EXPECT_EQ(rendered.find(" rows=50"), std::string::npos);
+  EXPECT_NE(rendered.find("est_rows=50"), std::string::npos);
 
   // And the OQL-level entry point executes + renders in one call.
   auto analyzed_text =

@@ -1,10 +1,14 @@
-// Cost-based optimizer + batch execution regression tests.
+// Optimizer + batch execution regression tests.
 //
-// Plan pins follow the bench shapes the optimizer must get right:
+// The planner prices every query: the scan plus one candidate per indexed
+// path, each path's conjuncts folded into one key interval, with
+// selectivities from fresh histograms or, without them, from defaults.
+// Plan pins follow the bench shapes it must get right:
 //   E2  -- class-hierarchy index equality lookup vs hierarchy scan
 //   E3  -- nested-attribute index with a residual conjunct
-//   E12 -- conjunctive OQL where the rule-based eq-over-range preference
-//          and the cost model disagree
+//   E12 -- conjunctive OQL where an equality on a one-key path is worth
+//          less than a tight range
+//   query-mix -- a two-sided range over a class-hierarchy index
 // plus stats-collection unit tests (live counts, analyze, drift),
 // batch-at-a-time operator tests (boundaries, MVCC visibility under a
 // concurrent writer, budget mid-batch), the same plan shapes pinned under
@@ -123,6 +127,26 @@ class QueryOptimizerTest : public ::testing::Test {
     return r;
   }
 
+  // Runs `q` through an index plan built by hand, whatever the planner
+  // would price: the probe reads `key` over `index`'s path, and `residual`
+  // re-checks the rest of the predicate.
+  std::vector<Oid> RunIndexPlan(const Query& q, const IndexInfo& index,
+                                Value key, ExprPtr residual,
+                                exec::ExecContext* ctx) {
+    QueryPlan plan;
+    plan.index_scan = true;
+    plan.index_id = index.id;
+    plan.index_path = index.path;
+    plan.eq_key = std::move(key);
+    plan.residual = std::move(residual);
+    auto root = db_->query_engine().Lower(q, plan);
+    EXPECT_TRUE(root.ok()) << root.status().ToString();
+    if (!root.ok()) return {};
+    auto rows = exec::CollectOids(**root, ctx);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    return rows.ok() ? *rows : std::vector<Oid>{};
+  }
+
   static void ExpectEstimatedIndexScan(const std::string& tree) {
     EXPECT_NE(tree.find("IndexScan("), std::string::npos) << tree;
     EXPECT_EQ(tree.find("ExtentScan("), std::string::npos) << tree;
@@ -214,12 +238,16 @@ TEST_F(QueryOptimizerTest, MutationDriftRetiresStats) {
   ASSERT_TRUE(MustRun("analyze Part").empty());
   ASSERT_TRUE(db_->stats().Get(part)->Fresh());
 
-  auto plan = db_->ExplainOql("select Part where Key = 5");
+  // Fresh: the histogram prices the range at its ~10 keys.
+  const char* range = "select Part where Key < 10";
+  auto plan = db_->ExplainOql(range);
   ASSERT_TRUE(plan.ok());
-  EXPECT_TRUE(plan->cost_based);
-  EXPECT_TRUE(plan->index_scan);
+  EXPECT_GE(plan->est_rows, 5u);
+  EXPECT_LE(plan->est_rows, 20u);
+  EXPECT_TRUE(db_->ExplainOql("select Part where Key = 5")->index_scan);
 
-  // Drift past max(64, live/4): the planner demotes to rule-based.
+  // Drift past max(64, live/4): the stale snapshot is no longer read, so
+  // the range is priced at the default third of the 180 live objects.
   auto t2 = db_->Begin();
   ASSERT_TRUE(t2.ok());
   for (int i = 0; i < 80; ++i) {
@@ -227,16 +255,17 @@ TEST_F(QueryOptimizerTest, MutationDriftRetiresStats) {
   }
   ASSERT_TRUE(db_->Commit(*t2).ok());
   EXPECT_FALSE(db_->stats().Get(part)->Fresh());
-  auto stale = db_->ExplainOql("select Part where Key = 5");
+  auto stale = db_->ExplainOql(range);
   ASSERT_TRUE(stale.ok());
-  EXPECT_FALSE(stale->cost_based);
-  EXPECT_TRUE(stale->index_scan);  // rule-based still uses the index
+  EXPECT_EQ(stale->est_rows, 60u);
+  // An equality on the indexed path prices at 1/keys: still an index plan.
+  EXPECT_TRUE(db_->ExplainOql("select Part where Key = 5")->index_scan);
 
-  // Re-analyzing restores cost-based pricing.
+  // Re-analyzing restores histogram pricing.
   ASSERT_TRUE(MustRun("analyze Part").empty());
-  auto fresh = db_->ExplainOql("select Part where Key = 5");
+  auto fresh = db_->ExplainOql(range);
   ASSERT_TRUE(fresh.ok());
-  EXPECT_TRUE(fresh->cost_based);
+  EXPECT_LE(fresh->est_rows, 20u);
 }
 
 TEST_F(QueryOptimizerTest, StaleStatsScheduleAutomaticReanalyze) {
@@ -257,8 +286,8 @@ TEST_F(QueryOptimizerTest, StaleStatsScheduleAutomaticReanalyze) {
       db_->metrics().GetCounter("optimizer.auto_analyze_runs")->value();
 
   // Drift past the freshness threshold, then plan: the stale snapshot
-  // demotes this plan to rule-based AND hands the class to the background
-  // re-analyzer.
+  // leaves this plan to the default selectivities AND hands the class to
+  // the background re-analyzer.
   auto t2 = db_->Begin();
   ASSERT_TRUE(t2.ok());
   for (int i = 0; i < 80; ++i) {
@@ -266,12 +295,13 @@ TEST_F(QueryOptimizerTest, StaleStatsScheduleAutomaticReanalyze) {
   }
   ASSERT_TRUE(db_->Commit(*t2).ok());
   ASSERT_FALSE(db_->stats().Get(part)->Fresh());
-  auto stale = db_->ExplainOql("select Part where Key = 5");
+  const char* range = "select Part where Key < 10";
+  auto stale = db_->ExplainOql(range);
   ASSERT_TRUE(stale.ok());
-  EXPECT_FALSE(stale->cost_based);
+  EXPECT_EQ(stale->est_rows, 60u);  // a third of 180
 
   // Without any manual `analyze` verb, the stats come back fresh and the
-  // next plan prices cost-based again.
+  // next plan prices from the new histogram again.
   db_->DrainAutoAnalyze();
   EXPECT_GE(db_->metrics().GetCounter("optimizer.auto_analyze_runs")->value(),
             auto_runs_before + 1);
@@ -279,9 +309,9 @@ TEST_F(QueryOptimizerTest, StaleStatsScheduleAutomaticReanalyze) {
   ASSERT_TRUE(cs.has_value());
   EXPECT_TRUE(cs->Fresh());
   EXPECT_EQ(cs->live_objects, 180u);
-  auto replanned = db_->ExplainOql("select Part where Key = 5");
+  auto replanned = db_->ExplainOql(range);
   ASSERT_TRUE(replanned.ok());
-  EXPECT_TRUE(replanned->cost_based);
+  EXPECT_LE(replanned->est_rows, 20u);
 }
 
 TEST_F(QueryOptimizerTest, StatsSurviveReopen) {
@@ -307,7 +337,7 @@ TEST_F(QueryOptimizerTest, StatsSurviveReopen) {
   EXPECT_EQ(cs->path_hists.count("Key"), 1u);
   auto plan = db_->ExplainOql("select Part where Key = 5");
   ASSERT_TRUE(plan.ok());
-  EXPECT_TRUE(plan->cost_based);
+  EXPECT_EQ(plan->est_rows, 1u);  // the reopened histogram's 1/100
   EXPECT_TRUE(plan->index_scan);
 }
 
@@ -333,7 +363,6 @@ TEST_F(QueryOptimizerTest, E2SelectiveEqPicksIndexUnselectivePicksScan) {
 
   auto selective = db_->ExplainOql("select Part where Key = 150");
   ASSERT_TRUE(selective.ok());
-  EXPECT_TRUE(selective->cost_based);
   EXPECT_TRUE(selective->index_scan);
   EXPECT_EQ(selective->index_path, std::vector<std::string>{"Key"});
   EXPECT_EQ(selective->plans_considered, 2u);  // scan + the CH index
@@ -364,7 +393,6 @@ TEST_F(QueryOptimizerTest, WholeExtentEqualityPrefersScan) {
   const char* oql = "select Part where Key = 7 and Weight >= 0";
   auto plan = db_->ExplainOql(oql);
   ASSERT_TRUE(plan.ok());
-  EXPECT_TRUE(plan->cost_based);
   EXPECT_FALSE(plan->index_scan);
   EXPECT_EQ(MustRun(oql).size(), 300u);
 }
@@ -401,7 +429,6 @@ TEST_F(QueryOptimizerTest, E3NestedIndexWithResidual) {
       "and Weight > 7500";
   auto plan = db_->ExplainOql(oql);
   ASSERT_TRUE(plan.ok());
-  EXPECT_TRUE(plan->cost_based);
   EXPECT_TRUE(plan->index_scan);
   EXPECT_EQ(plan->index_path,
             (std::vector<std::string>{"Manufacturer", "Location"}));
@@ -421,8 +448,9 @@ TEST_F(QueryOptimizerTest, E3NestedIndexWithResidual) {
   EXPECT_EQ(MustRun(oql).size(), 6u);
 }
 
-// E12 shape: the rule-based fallback prefers equality over range; with
-// statistics the cost model reverses that when the equality is worthless.
+// E12 shape: an equality is not worth probing when its path holds one key.
+// Without statistics 1/keys already prices it at the whole extent; with
+// them the tight range over Weight wins.
 TEST_F(QueryOptimizerTest, E12CostModelOverridesEqPreference) {
   BuildHierarchy();
   ClassId part = *db_->FindClass("Part");
@@ -443,19 +471,18 @@ TEST_F(QueryOptimizerTest, E12CostModelOverridesEqPreference) {
 
   const char* oql = "select Part where Key = 7 and Weight < 10";
 
-  // Rule-based (no stats): equality wins, as it always did.
-  auto rule = db_->ExplainOql(oql);
-  ASSERT_TRUE(rule.ok());
-  EXPECT_FALSE(rule->cost_based);
-  EXPECT_TRUE(rule->index_scan);
-  EXPECT_EQ(rule->index_path, std::vector<std::string>{"Key"});
+  // No stats: the Key index holds one key, so its equality prices at all
+  // 400 fetches and never wins.
+  auto unanalyzed = db_->ExplainOql(oql);
+  ASSERT_TRUE(unanalyzed.ok());
+  EXPECT_NE(unanalyzed->index_path, std::vector<std::string>{"Key"});
+  EXPECT_EQ(unanalyzed->plans_considered, 3u);
 
-  // Cost-based: the range over Weight touches ~10 objects, the equality
+  // Analyzed: the range over Weight touches ~10 objects, the equality
   // over Key touches all 400 -- the cheaper plan must win.
   ASSERT_TRUE(MustRun("analyze Part").empty());
   auto costed = db_->ExplainOql(oql);
   ASSERT_TRUE(costed.ok());
-  EXPECT_TRUE(costed->cost_based);
   EXPECT_TRUE(costed->index_scan);
   EXPECT_EQ(costed->index_path, std::vector<std::string>{"Weight"});
   EXPECT_EQ(costed->plans_considered, 3u);  // scan + Key index + Weight index
@@ -463,31 +490,45 @@ TEST_F(QueryOptimizerTest, E12CostModelOverridesEqPreference) {
   EXPECT_EQ(MustRun(oql).size(), 10u);
 }
 
-// Rule-based eq-over-range preference itself (stats absent) stays pinned.
-TEST_F(QueryOptimizerTest, RuleFallbackPrefersEqOverRange) {
+// query-mix shape: a two-sided range over a class-hierarchy index on
+// uniform weights. Both bounds fold into one key interval, priced by one
+// histogram lookup, so every 50-wide window probes the index, and the
+// estimate lands within one bucket of what the probe returns.
+TEST_F(QueryOptimizerTest, TwoSidedRangePricesOneInterval) {
   BuildHierarchy();
   ClassId part = *db_->FindClass("Part");
-  ASSERT_TRUE(
-      db_->indexes().CreateIndex(IndexKind::kClassHierarchy, part, {"Key"})
-          .ok());
   ASSERT_TRUE(db_->indexes()
                   .CreateIndex(IndexKind::kClassHierarchy, part, {"Weight"})
                   .ok());
   auto t = db_->Begin();
   ASSERT_TRUE(t.ok());
-  for (int i = 0; i < 50; ++i) {
-    MustInsert(*t, "Part",
-               {{"Key", Value::Int(i)}, {"Weight", Value::Int(i)}});
+  for (int i = 0; i < 4000; ++i) {
+    MustInsert(*t, i % 2 == 0 ? "Part" : "SubPart",
+               {{"Key", Value::Int(i % 7)}, {"Weight", Value::Int(i)}});
   }
   ASSERT_TRUE(db_->Commit(*t).ok());
+  ASSERT_TRUE(MustRun("analyze Part").empty());
+  const std::vector<uint64_t> buckets =
+      db_->stats().Get(part)->path_hists.at("Weight").counts;
+  const uint64_t bucket = *std::max_element(buckets.begin(), buckets.end());
 
-  // Range conjunct listed first; equality must still be chosen.
-  auto plan = db_->ExplainOql("select Part where Weight < 40 and Key = 3");
-  ASSERT_TRUE(plan.ok());
-  EXPECT_FALSE(plan->cost_based);
-  EXPECT_TRUE(plan->index_scan);
-  EXPECT_EQ(plan->index_path, std::vector<std::string>{"Key"});
-  EXPECT_EQ(MustRun("select Part where Weight < 40 and Key = 3").size(), 1u);
+  for (int a = 0; a <= 3950; a += 50) {
+    std::string oql = "select Part where Weight >= " + std::to_string(a) +
+                      " and Weight < " + std::to_string(a + 50);
+    auto plan = db_->ExplainOql(oql);
+    ASSERT_TRUE(plan.ok()) << oql;
+    EXPECT_TRUE(plan->index_scan) << oql;
+    EXPECT_EQ(plan->index_path, std::vector<std::string>{"Weight"}) << oql;
+    ASSERT_TRUE(plan->lo.has_value() && plan->hi.has_value()) << oql;
+    EXPECT_EQ(plan->lo->Compare(Value::Int(a)), 0) << oql;
+    EXPECT_EQ(plan->hi->Compare(Value::Int(a + 50)), 0) << oql;
+    EXPECT_TRUE(plan->lo_inclusive && !plan->hi_inclusive) << oql;
+    EXPECT_EQ(plan->plans_considered, 2u) << oql;
+    size_t actual = MustRun(oql).size();
+    EXPECT_EQ(actual, 50u) << oql;
+    uint64_t est = plan->est_input_rows;
+    EXPECT_LE(est > actual ? est - actual : actual - est, bucket) << oql;
+  }
 }
 
 // ToString must equal the rendered EXPLAIN tree, estimates included, and
@@ -520,7 +561,7 @@ TEST_F(QueryOptimizerTest, PlanToStringMatchesExplainWithEstimates) {
     EXPECT_EQ(plan->ToString(), *tree) << oql;
   }
 
-  // Same identity once the plans are cost-based.
+  // Same identity once histograms price the plans.
   ASSERT_TRUE(MustRun("analyze Part").empty());
   for (const char* oql :
        {"select Part where Key = 5",
@@ -529,7 +570,6 @@ TEST_F(QueryOptimizerTest, PlanToStringMatchesExplainWithEstimates) {
     ASSERT_TRUE(q.ok()) << oql;
     auto plan = db_->query_engine().Plan(*q);
     ASSERT_TRUE(plan.ok()) << oql;
-    EXPECT_TRUE(plan->cost_based) << oql;
     auto tree = db_->query_engine().Explain(*q);
     ASSERT_TRUE(tree.ok()) << oql;
     EXPECT_EQ(plan->ToString(), *tree) << oql;
@@ -573,22 +613,32 @@ TEST_F(QueryOptimizerTest, OptimizerMetricsMove) {
   ASSERT_TRUE(db_->Commit(*t).ok());
 
   obs::MetricsRegistry& m = db_->metrics();
-  uint64_t considered0 = m.GetCounter("optimizer.plans_considered")->value();
-  uint64_t chosen0 = m.GetCounter("optimizer.index_plans_chosen")->value();
-  uint64_t cost0 = m.GetCounter("optimizer.cost_based_plans")->value();
+  auto considered = [&] {
+    return m.GetCounter("optimizer.plans_considered")->value();
+  };
+  auto chosen = [&] {
+    return m.GetCounter("optimizer.index_plans_chosen")->value();
+  };
+  auto errors = [&] {
+    return m.GetHistogram("optimizer.est_rows_error_pct")->data().count;
+  };
+  const uint64_t considered0 = considered(), chosen0 = chosen(),
+                 errors0 = errors();
 
-  MustRun("select Part where Key = 5");  // rule-based index plan
-  EXPECT_GT(m.GetCounter("optimizer.plans_considered")->value(), considered0);
-  EXPECT_EQ(m.GetCounter("optimizer.index_plans_chosen")->value(),
-            chosen0 + 1);
-  EXPECT_EQ(m.GetCounter("optimizer.cost_based_plans")->value(), cost0);
+  // Every execution records its plan: the scan plus the one indexed path
+  // considered, and one estimation-error observation, analyzed or not.
+  MustRun("select Part where Key = 5");  // 1/keys prices the probe
+  EXPECT_EQ(considered(), considered0 + 2);
+  EXPECT_EQ(chosen(), chosen0 + 1);
+  EXPECT_EQ(errors(), errors0 + 1);
 
   ASSERT_TRUE(MustRun("analyze Part").empty());
   EXPECT_GE(m.GetCounter("optimizer.analyze_runs")->value(), 1u);
-  MustRun("select Part where Key = 5");  // now cost-based
-  EXPECT_EQ(m.GetCounter("optimizer.cost_based_plans")->value(), cost0 + 1);
-  // A cost-based execution records one estimation-error observation.
-  EXPECT_GE(m.GetHistogram("optimizer.est_rows_error_pct")->data().count, 1u);
+  // Two conjuncts on one path are one key interval: still two candidates.
+  MustRun("select Part where Key >= 5 and Key < 8");
+  EXPECT_EQ(considered(), considered0 + 4);
+  EXPECT_EQ(chosen(), chosen0 + 2);
+  EXPECT_EQ(errors(), errors0 + 2);
 }
 
 // --- batch execution --------------------------------------------------------
@@ -596,13 +646,14 @@ TEST_F(QueryOptimizerTest, OptimizerMetricsMove) {
 // Every plan shape against the forced scan (an index-less engine) over a
 // hierarchy of 700 objects: Part's 467-object extent puts a 256-row batch
 // boundary inside a child extent, and the 350 candidates of a Key probe
-// put one inside an index candidate list.
+// put one inside an index candidate list. The probes run as hand-built
+// index plans: a two-key path is not worth probing to the planner.
 TEST_F(QueryOptimizerTest, BatchSizesAgreeAcrossBoundaries) {
   BuildHierarchy();
   ClassId part = *db_->FindClass("Part");
-  ASSERT_TRUE(
-      db_->indexes().CreateIndex(IndexKind::kClassHierarchy, part, {"Key"})
-          .ok());
+  auto key_index =
+      db_->indexes().CreateIndex(IndexKind::kClassHierarchy, part, {"Key"});
+  ASSERT_TRUE(key_index.ok());
   auto t = db_->Begin();
   ASSERT_TRUE(t.ok());
   for (int i = 0; i < 700; ++i) {
@@ -610,31 +661,48 @@ TEST_F(QueryOptimizerTest, BatchSizesAgreeAcrossBoundaries) {
                {{"Key", Value::Int(i % 2)}, {"Weight", Value::Int(i)}});
   }
   ASSERT_TRUE(db_->Commit(*t).ok());
+  auto index = db_->indexes().GetIndex(*key_index);
+  ASSERT_TRUE(index.ok());
 
   QueryEngine scan_engine(&db_->store(), nullptr);
   struct Shape {
     const char* oql;
-    bool indexed;
+    std::optional<Value> probe;  // the Key an index plan probes
+    const char* residual;        // what that plan re-checks
     size_t rows;
   };
   for (const Shape& shape : {
-           Shape{"select Part where Weight < 600", false, 600},  // scan+filter
-           Shape{"select Part where Key = 1 and Weight > 50", true, 325},
-           Shape{"select Part where Key = 0", true, 350},  // covered
-           Shape{"select Part", false, 700},               // unfiltered
+           Shape{"select Part where Weight < 600", {}, "", 600},  // scan
+           Shape{"select Part where Key = 1 and Weight > 50", Value::Int(1),
+                 "Weight > 50", 325},
+           Shape{"select Part where Key = 0", Value::Int(0), "", 350},
+           Shape{"select Part", {}, "", 700},  // unfiltered
        }) {
     auto q = db_->parser().ParseQuery(shape.oql);
     ASSERT_TRUE(q.ok()) << shape.oql;
     exec::ExecContext ictx(&db_->buffer_pool());
-    auto indexed = db_->query_engine().Execute(*q, &ictx);
+    std::vector<Oid> indexed;
+    if (shape.probe.has_value()) {
+      ExprPtr residual;
+      if (*shape.residual != '\0') {
+        auto parsed = db_->parser().ParseExpression(shape.residual);
+        ASSERT_TRUE(parsed.ok()) << shape.residual;
+        residual = *parsed;
+      }
+      indexed = RunIndexPlan(*q, **index, *shape.probe, residual, &ictx);
+    } else {
+      auto planned = db_->query_engine().Execute(*q, &ictx);
+      ASSERT_TRUE(planned.ok()) << shape.oql;
+      indexed = *planned;
+    }
     exec::ExecContext sctx(&db_->buffer_pool());
     auto scanned = scan_engine.Execute(*q, &sctx);
-    ASSERT_TRUE(indexed.ok() && scanned.ok()) << shape.oql;
-    EXPECT_EQ(ictx.used_index.load(), shape.indexed) << shape.oql;
-    std::sort(indexed->begin(), indexed->end());
+    ASSERT_TRUE(scanned.ok()) << shape.oql;
+    EXPECT_EQ(ictx.used_index.load(), shape.probe.has_value()) << shape.oql;
+    std::sort(indexed.begin(), indexed.end());
     std::sort(scanned->begin(), scanned->end());
-    EXPECT_EQ(*indexed, *scanned) << shape.oql;
-    EXPECT_EQ(indexed->size(), shape.rows) << shape.oql;
+    EXPECT_EQ(indexed, *scanned) << shape.oql;
+    EXPECT_EQ(indexed.size(), shape.rows) << shape.oql;
   }
 }
 
@@ -805,13 +873,23 @@ TEST_F(QueryOptimizerTest, NestedIndexScopeWalkSpansBatches) {
       db_->Set(*w, companies[15], "Location", Value::Str("Detroit")).ok());
 
   // A versioned path class sends the probe to the scope walk: the
-  // IndexScan reads all 600 vehicles itself, with no scan node below it.
+  // IndexScan reads all 600 vehicles itself, with no scan node below it,
+  // and EXPLAIN ANALYZE names the walk on the IndexScan line.
   SnapshotRun r = RunAt(snap, oql);
   EXPECT_NE(r.tree.find("IndexScan("), std::string::npos) << r.tree;
   EXPECT_EQ(r.tree.find("ExtentScan("), std::string::npos) << r.tree;
   EXPECT_NE(r.tree.find("scanned=600"), std::string::npos) << r.tree;
+  size_t line = r.tree.find("IndexScan(");
+  EXPECT_LT(r.tree.find(", scope_walk)", line), r.tree.find('\n', line))
+      << r.tree;
   EXPECT_EQ(r.indexed.size(), 300u);
   EXPECT_EQ(r.indexed, r.scanned);
+
+  // A served query walks the scope too, and the metrics flush counts it.
+  obs::Counter* walks = db_->metrics().GetCounter("index.snapshot_scope_scans");
+  const uint64_t walks0 = walks->value();
+  EXPECT_EQ(MustRun(oql).size(), 300u);
+  EXPECT_EQ(walks->value(), walks0 + 1);
 
   ASSERT_TRUE(db_->Commit(*w).ok());
   EXPECT_EQ(RunAt(snap, oql).indexed, r.indexed);
